@@ -12,11 +12,10 @@
     sorts last), ties broken by [proof_compare].  The canonical order makes
     the output independent of proof insertion order, lets fixpoint
     saturation use the cheap ordered {!equal_ordered} instead of the O(n²)
-    set comparison, and is what the guided best-first implementations of
-    [conj_k]/[neg_k] exploit to prune low-weight proofs {e before}
-    materializing them (see DESIGN.md, "Guided lazy proof search").  The
-    eager reference implementations are kept as [conj_k_eager] etc. and
-    serve as the differential-test oracle.
+    set comparison, and lets [disj_k] return a converged argument physically
+    unchanged.  The test suite checks [disj_k]/[conj_k] against a naive
+    union/product-then-truncate oracle and [neg_k] against itself with an
+    unbounded beam.
 
     Mutual exclusion (Appendix B.4.4): input facts may belong to an exclusion
     group; a proof containing two distinct positive literals from the same
@@ -150,8 +149,7 @@ let dcompare a b =
    proofs have equal keys, hence are adjacent after sorting), drop absorbed
    proofs.  An absorber is a subset of what it absorbs, so its probability
    key is >= the absorbed one's whenever weights lie in [0,1]; we still scan
-   all pairs so the result matches the eager oracle even on adversarial
-   weights. *)
+   all pairs so the result is exact even on adversarial weights. *)
 let finalize_all (cands : dproof list) : dproof list =
   let sorted = List.stable_sort dcompare cands in
   let rec drop_dups = function
@@ -181,100 +179,13 @@ let top_k envr k proofs =
   if k <= 0 then ff
   else Scallop_utils.Listx.take k (undecorate (finalize_all (List.map (decorate envr) proofs)))
 
-(* --- eager reference operations (differential-test oracle) ---------------- *)
+(* --- operations ------------------------------------------------------------ *)
 
-(** ∨k : union of proof sets, truncated. *)
-let disj_k_eager envr k (a : t) (b : t) : t = top_k envr k (a @ b)
-
-(** ∧k : pairwise conflict-checked merge, truncated (Table 8). *)
-let conj_k_eager envr k (a : t) (b : t) : t =
-  let merged =
-    List.concat_map (fun pa -> List.filter_map (fun pb -> merge_proofs envr pa pb) b) a
-  in
-  top_k envr k merged
-
-(** ¬k : negate every literal giving a CNF, then convert back to DNF by
-    distribution with conflict checking (cnf2dnf, Fig. 13).  The raw
-    conversion is exponential; we bound every intermediate result by [beam]
-    (≥ k) proofs of highest probability, as the final answer is truncated to
-    [k] anyway. *)
-let neg_k_eager ?beam envr k (t : t) : t =
-  let beam = match beam with Some b -> Stdlib.max b k | None -> Stdlib.max (8 * k) 64 in
-  (* CNF: one clause per proof; each clause is the disjunction of the
-     negated literals of that proof. *)
-  let clauses =
-    List.map (fun p -> List.map (fun (v, s) -> (v, not s)) (proof_literals p)) t
-  in
-  let init : t = [ true_proof ] in
-  let result =
-    List.fold_left
-      (fun acc clause ->
-        let next =
-          List.concat_map
-            (fun p ->
-              List.filter_map
-                (fun (v, s) ->
-                  merge_proofs envr p (IMap.singleton v s))
-                clause)
-            acc
-        in
-        top_k envr beam next)
-      init clauses
-  in
-  top_k envr k result
-
-(* --- guided best-first operations ----------------------------------------- *)
-
-(* Shared driver for the guided searches.  [pop_expand] pops the
-   highest-bound frontier node, possibly appending to [candidates], and
-   returns false once the frontier is exhausted; [peek_key] is the bound of
-   the best unexpanded node.  Expansion stops as soon as every remaining
-   frontier bound is strictly below the k-th surviving candidate's key:
-   since bounds are admissible (>= the key of every candidate reachable
-   through that node) and proofs below the k-th survivor can neither enter
-   the top k nor absorb/duplicate a survivor (an absorber is a subset, so
-   its probability is >= its victim's), the survivors equal the eager
-   oracle's — see DESIGN.md for the full argument. *)
-let best_first ~k ~(peek_key : unit -> float option)
-    ~(pop_expand : unit -> bool) ~(candidates : dproof list ref) : t =
-  let rec settle () =
-    let surv = finalize_all !candidates in
-    let nsurv = List.length surv in
-    let bar =
-      if nsurv < k then None
-      else Some (List.nth surv (k - 1)).dkey
-    in
-    match peek_key () with
-    | None -> Scallop_utils.Listx.take k (undecorate surv)
-    | Some top_key -> (
-        match bar with
-        | Some b when top_key < b -> Scallop_utils.Listx.take k (undecorate surv)
-        | _ ->
-            (* Expand a batch before re-finalizing: everything whose bound
-               still ties or beats the bar, or (while short of k survivors)
-               enough nodes to plausibly fill the gap. *)
-            let budget = ref (Stdlib.max 1 (k - nsurv)) in
-            let continue_pop () =
-              match peek_key () with
-              | None -> false
-              | Some key -> (
-                  match bar with Some b -> key >= b | None -> !budget > 0)
-            in
-            ignore (pop_expand ());
-            (match bar with None -> decr budget | Some _ -> ());
-            while continue_pop () do
-              ignore (pop_expand ());
-              (match bar with None -> decr budget | Some _ -> ())
-            done;
-            settle ())
-  in
-  settle ()
-
-(** ∨k, guided: both inputs are (or are brought to) canonical order, so the
-    union is a merge followed by the shared canonicalization; probabilities
-    are computed once per proof.  Returns the left argument physically
-    unchanged when the union adds nothing — the common case once a relation
-    has converged. *)
+(** ∨k : union of proof sets, truncated.  Both inputs are canonical, so
+    probabilities are computed once per proof and the union shares the
+    canonicalization above.  Returns the left argument physically unchanged
+    when the union adds nothing — the common case once a relation has
+    converged. *)
 let disj_k envr k (a : t) (b : t) : t =
   if k <= 0 then ff
   else if is_false b && List.compare_length_with a k <= 0 then a
@@ -284,140 +195,49 @@ let disj_k envr k (a : t) (b : t) : t =
     if phys_equal_list result a then a else result
   end
 
-(** ∧k, guided: best-first over the grid of proof pairs, both sides sorted
-    in canonical (descending-probability) order.  The bound of cell (i, j)
-    is min(key aᵢ, key bⱼ) — admissible because the merged proof is a
-    superset of each parent, so (for weights in [0,1]) its probability can
-    only be lower.  Cells are expanded best-bound-first; (i+1, j) and
-    (i, j+1) enter the frontier when (i, j) is expanded, so bounds along any
-    path are nonincreasing and the frontier always dominates the unexplored
-    region.  Small products fall back to the eager pairwise merge, which is
-    cheaper than maintaining a frontier. *)
+(** ∧k : pairwise conflict-checked merge, truncated (Table 8).  Only merged
+    candidates have their probability computed. *)
 let conj_k envr k (a : t) (b : t) : t =
   if k <= 0 || is_false a || is_false b then ff
   else begin
-    let na = List.length a and nb = List.length b in
-    if float_of_int na *. float_of_int nb <= 4.0 *. float_of_int k then begin
-      (* Small product: the full pairwise merge costs less than a frontier,
-         and only merged candidates need their probability computed. *)
-      let cands = ref [] in
-      List.iter
-        (fun pa ->
-          List.iter
-            (fun pb ->
-              match merge_proofs envr pa pb with
-              | Some m -> cands := decorate envr m :: !cands
-              | None -> ())
-            b)
-        a;
-      Scallop_utils.Listx.take k (undecorate (finalize_all !cands))
-    end
-    else begin
-      let da = Array.of_list (List.map (decorate envr) a) in
-      let db = Array.of_list (List.map (decorate envr) b) in
-      Array.sort dcompare da;
-      Array.sort dcompare db;
-      let bound i j = Float.min da.(i).dkey db.(j).dkey in
-      let heap =
-        Scallop_utils.Heap.create ~cmp:(fun (u1, _, _) (u2, _, _) ->
-            Float.compare u1 u2)
-      in
-      let seen = Hashtbl.create 64 in
-      let push i j =
-        if i < na && j < nb && not (Hashtbl.mem seen (i, j)) then begin
-          Hashtbl.replace seen (i, j) ();
-          Scallop_utils.Heap.push heap (bound i j, i, j)
-        end
-      in
-      push 0 0;
-      let candidates = ref [] in
-      let peek_key () =
-        Option.map (fun (u, _, _) -> u) (Scallop_utils.Heap.peek heap)
-      in
-      let pop_expand () =
-        match Scallop_utils.Heap.pop heap with
-        | None -> false
-        | Some (_, i, j) ->
-            (match merge_proofs envr da.(i).dp db.(j).dp with
-            | Some m -> candidates := decorate envr m :: !candidates
-            | None -> ());
-            push (i + 1) j;
-            push i (j + 1);
-            true
-      in
-      best_first ~k ~peek_key ~pop_expand ~candidates
-    end
+    let cands = ref [] in
+    List.iter
+      (fun pa ->
+        List.iter
+          (fun pb ->
+            match merge_proofs envr pa pb with
+            | Some m -> cands := decorate envr m :: !cands
+            | None -> ())
+          b)
+      a;
+    Scallop_utils.Listx.take k (undecorate (finalize_all !cands))
   end
 
-(* Above this k the guided negation would have to enumerate essentially the
-   whole cnf2dnf expansion anyway; delegate to the beam-bounded eager code
-   (this keeps the exact/proofs provenances, k = max_int, on their historic
-   path). *)
-let guided_neg_k_limit = 1024
-
-(* Safety valve: a guided negation that expands more nodes than this falls
-   back to the eager beam search rather than thrashing on an adversarial
-   clause structure. *)
-let guided_neg_max_expansions = 20_000
-
-(** ¬k, guided: best-first over {e partial} DNF proofs.  A node is a partial
-    proof that satisfies the first [i] CNF clauses; its bound is its own
-    probability — admissible because extending a proof with further literals
-    (weights in [0,1]) can only lower it, and extending with an
-    already-present literal keeps it equal.  Clauses are processed shortest
-    first to keep the branching factor low (the set of complete proofs is
-    independent of clause order). *)
+(** ¬k : negate every literal giving a CNF, then convert back to DNF by
+    distribution with conflict checking (cnf2dnf, Fig. 13).  The raw
+    conversion is exponential; we bound every intermediate result by [beam]
+    (≥ k) proofs of highest probability, as the final answer is truncated to
+    [k] anyway. *)
 let neg_k ?beam envr k (t : t) : t =
-  if k <= 0 then ff
-  else if k > guided_neg_k_limit then neg_k_eager ?beam envr k t
-  else begin
-    let clauses =
-      t
-      |> List.map (fun p -> List.map (fun (v, s) -> (v, not s)) (proof_literals p))
-      |> List.sort (fun c1 c2 ->
-             let c = compare (List.length c1) (List.length c2) in
-             if c <> 0 then c else compare c1 c2)
-      |> Array.of_list
-    in
-    let n = Array.length clauses in
-    let heap =
-      Scallop_utils.Heap.create ~cmp:(fun (u1, _, _) (u2, _, _) ->
-          Float.compare u1 u2)
-    in
-    let seen = Hashtbl.create 64 in
-    let push (d : dproof) idx =
-      let key = (idx, proof_literals d.dp) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
-        Scallop_utils.Heap.push heap (d.dkey, d, idx)
-      end
-    in
-    push (decorate envr true_proof) 0;
-    let candidates = ref [] in
-    let expansions = ref 0 in
-    let peek_key () =
-      Option.map (fun (u, _, _) -> u) (Scallop_utils.Heap.peek heap)
-    in
-    let exception Too_many in
-    let pop_expand () =
-      match Scallop_utils.Heap.pop heap with
-      | None -> false
-      | Some (_, d, idx) ->
-          incr expansions;
-          if !expansions > guided_neg_max_expansions then raise Too_many;
-          if idx = n then candidates := d :: !candidates
-          else
-            List.iter
-              (fun (v, s) ->
-                match merge_proofs envr d.dp (IMap.singleton v s) with
-                | Some m -> push (decorate envr m) (idx + 1)
-                | None -> ())
-              clauses.(idx);
-          true
-    in
-    try best_first ~k ~peek_key ~pop_expand ~candidates
-    with Too_many -> neg_k_eager ?beam envr k t
-  end
+  let beam = match beam with Some b -> Stdlib.max b k | None -> Stdlib.max (8 * k) 64 in
+  (* CNF: one clause per proof; each clause is the disjunction of the
+     negated literals of that proof. *)
+  let clauses =
+    List.map (fun p -> List.map (fun (v, s) -> (v, not s)) (proof_literals p)) t
+  in
+  let result =
+    List.fold_left
+      (fun acc clause ->
+        let next =
+          List.concat_map
+            (fun p ->
+              List.filter_map (fun (v, s) -> merge_proofs envr p (IMap.singleton v s)) clause)
+            acc
+        in
+        top_k envr beam next)
+      tt clauses
+  in
+  top_k envr k result
 
 (** All variables mentioned by the formula. *)
 let variables (t : t) =

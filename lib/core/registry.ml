@@ -1,6 +1,6 @@
 (** Registry of built-in provenances (paper Sec. 5 lists 18 built-ins across
-    discrete / probabilistic / differentiable reasoning; see DESIGN.md for
-    the set implemented here).
+    discrete / probabilistic / differentiable reasoning; the 17 implemented
+    here are listed in {!all_names}, see DESIGN.md).
 
     Provenance instances are stateful (variable-id allocation, probability
     stores), so [create] returns a {e fresh} first-class module each call;
@@ -14,9 +14,6 @@ type spec =
   | Add_mult_prob
   | Proofs
   | Top_k_proofs of int
-  | Top_k_proofs_eager of int
-      (** reference implementation of [Top_k_proofs] with eager operators;
-          differential-test oracle and benchmark baseline *)
   | Sample_k_proofs of int * int (* k, seed *)
   | Exact_prob
   | Diff_exact_prob
@@ -40,15 +37,6 @@ let create : spec -> Provenance.t = function
   | Top_k_proofs k ->
       let module M =
         Prov_prob.Top_k_proofs
-          (struct
-            let k = k
-          end)
-          ()
-      in
-      (module M)
-  | Top_k_proofs_eager k ->
-      let module M =
-        Prov_prob.Top_k_proofs_eager
           (struct
             let k = k
           end)
@@ -140,8 +128,6 @@ let degrade : spec -> spec option = function
   | Diff_exact_prob -> Some (Diff_top_k_proofs 3)
   | Top_k_proofs k when k > 1 -> Some (Top_k_proofs (k / 2))
   | Top_k_proofs _ -> Some Max_min_prob
-  | Top_k_proofs_eager k when k > 1 -> Some (Top_k_proofs_eager (k / 2))
-  | Top_k_proofs_eager _ -> Some Max_min_prob
   | Sample_k_proofs (k, seed) when k > 1 -> Some (Sample_k_proofs (k / 2, seed))
   | Sample_k_proofs _ -> Some Max_min_prob
   | Exact_prob -> Some (Top_k_proofs 3)
@@ -165,7 +151,6 @@ let spec_name : spec -> string = function
   | Add_mult_prob -> "addmultprob"
   | Proofs -> "proofs"
   | Top_k_proofs k -> Fmt.str "topkproofs-%d" k
-  | Top_k_proofs_eager k -> Fmt.str "topkproofseager-%d" k
   | Sample_k_proofs (k, _) -> Fmt.str "samplekproofs-%d" k
   | Exact_prob -> "exactprobproofs"
   | Diff_exact_prob -> "diffexactprobproofs"
@@ -201,32 +186,18 @@ let spec_of_string s =
   | "diffminmaxprob" | "diffmaxminprob" | "dmmp" -> Some Diff_max_min_prob
   | "diffaddmultprob" | "damp" -> Some Diff_add_mult_prob
   | "diffnandmultprob" | "dnmp" -> Some Diff_nand_mult_prob
-  | _ -> (
-      match with_k "difftopkproofsme" (fun k -> Diff_top_k_proofs_me k) with
-      | Some r -> Some r
-      | None -> (
-          match with_k "difftopkproofs" (fun k -> Diff_top_k_proofs k) with
-          | Some r -> Some r
-          | None -> (
-              match with_k "dtkp" (fun k -> Diff_top_k_proofs k) with
-              | Some r -> Some r
-              | None -> (
-                  match with_k "topkproofseager" (fun k -> Top_k_proofs_eager k) with
-                  | Some r -> Some r
-                  | None -> (
-                  match with_k "topkproofs" (fun k -> Top_k_proofs k) with
-                  | Some r -> Some r
-                  | None -> (
-                      match with_k "samplekproofs" (fun k -> Sample_k_proofs (k, 0)) with
-                      | Some r -> Some r
-                      | None -> (
-                          match
-                            with_k "diffsamplekproofs" (fun k -> Diff_sample_k_proofs (k, 0))
-                          with
-                          | Some r -> Some r
-                          | None ->
-                              with_k "difftopbottomkclauses" (fun k ->
-                                  Diff_top_bottom_k_clauses k))))))))
+  | _ ->
+      List.find_map
+        (fun (prefix, f) -> with_k prefix f)
+        [
+          ("difftopkproofsme", fun k -> Diff_top_k_proofs_me k);
+          ("difftopkproofs", fun k -> Diff_top_k_proofs k);
+          ("dtkp", fun k -> Diff_top_k_proofs k);
+          ("topkproofs", fun k -> Top_k_proofs k);
+          ("samplekproofs", fun k -> Sample_k_proofs (k, 0));
+          ("diffsamplekproofs", fun k -> Diff_sample_k_proofs (k, 0));
+          ("difftopbottomkclauses", fun k -> Diff_top_bottom_k_clauses k);
+        ]
 
 let of_string s = Option.map create (spec_of_string s)
 
@@ -239,7 +210,6 @@ let all_names =
     "addmultprob";
     "proofs";
     "topkproofs-3";
-    "topkproofseager-3";
     "samplekproofs-3";
     "exactprobproofs";
     "diffexactprobproofs";

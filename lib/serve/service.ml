@@ -5,8 +5,7 @@
     workers wedge, or load spikes:
 
     - {b Admission control}: a bounded FIFO queue.  A submission that would
-      exceed the depth limit — or arrives while the oldest queued request
-      has waited past [max_queue_age] — is shed immediately with a typed
+      exceed the depth limit is shed immediately with a typed
       [Exec_error.Overloaded] instead of building an unbounded backlog.
     - {b Deadline propagation}: each request carries an absolute deadline
       ([request_timeout] from submission).  Every execution attempt runs
@@ -23,7 +22,9 @@
       [breaker_threshold] consecutive failures the rung's breaker opens and
       subsequent requests skip straight to the cheaper rung without paying
       for the doomed attempt, until a half-open probe succeeds and restores
-      fidelity.
+      fidelity.  Only one-shot [Run] requests walk the ladder; [Exec]
+      requests pin their own provenance, so they always run at rung 0 and
+      never touch the breakers.
     - {b Worker supervision}: requests execute on [jobs] worker domains
       that heartbeat on the service clock.  A watchdog domain cancels
       attempts whose heartbeat goes stale (via the attempt's
@@ -58,9 +59,6 @@ module U = Scallop_utils
 type config = {
   jobs : int;  (** worker domains executing requests *)
   queue_depth : int;  (** max requests waiting (not in flight) *)
-  max_queue_age : float option;
-      (** shed new arrivals while the oldest queued request has waited
-          longer than this (seconds) *)
   request_timeout : float option;  (** per-request deadline from submission *)
   max_retries : int;  (** transient retries (incl. watchdog requeues) per request *)
   backoff_base : float;  (** first retry backoff, seconds *)
@@ -87,7 +85,6 @@ let default_config () =
   {
     jobs = 2;
     queue_depth = 64;
-    max_queue_age = None;
     request_timeout = None;
     max_retries = 2;
     backoff_base = 0.01;
@@ -115,10 +112,10 @@ type payload =
           degradation ladder currently grants *)
   | Exec of (rung:Registry.spec -> config:Interp.config -> Session.result)
       (** an opaque execution run under the same admission, deadline,
-          retry, chaos and watchdog machinery; receives the granted rung
-          and the per-attempt constrained config.  Incremental sessions
-          ([Incr]) submit these — they pin their own provenance, so they
-          ignore the rung, but still degrade by budget via the config. *)
+          retry, chaos and watchdog machinery; receives rung 0 and the
+          per-attempt constrained config.  Incremental sessions ([Incr])
+          submit these — they pin their own provenance, so an attempt that
+          exhausts its budget fails instead of re-running one rung down. *)
 
 (** The single terminal verdict of a request. *)
 type outcome = {
@@ -349,6 +346,7 @@ let execute svc w my_gen (ticket : ticket) =
   let jitter = U.Rng.substream (U.Rng.create cfg.seed) ticket.id in
   let deadline = Option.map (fun t -> ticket.submitted_at +. t) cfg.request_timeout in
   let last_rung = Array.length svc.ladder - 1 in
+  let laddered = match payload with Run _ -> true | Exec _ -> false in
   let rec attempt r =
     (* Skip rungs whose breaker is open; the cheapest rung always serves. *)
     let r =
@@ -357,7 +355,7 @@ let execute svc w my_gen (ticket : ticket) =
         else if Breaker.admit svc.breakers.(r) then r
         else adv (r + 1)
       in
-      adv r
+      if laddered then adv r else r
     in
     let now = cfg.now () in
     let remaining = Option.map (fun d -> d -. now) deadline in
@@ -460,9 +458,9 @@ let execute svc w my_gen (ticket : ticket) =
   and handle r response =
     match response with
     | Ok _ ->
-        Breaker.record_success svc.breakers.(r);
+        if laddered then Breaker.record_success svc.breakers.(r);
         complete svc w my_gen ticket response ~rung_idx:r
-    | Error e when Exec_error.is_degradable e ->
+    | Error e when laddered && Exec_error.is_degradable e ->
         Breaker.record_failure svc.breakers.(r);
         if r < last_rung then attempt (r + 1)
         else complete svc w my_gen ticket response ~rung_idx:r
@@ -671,7 +669,7 @@ let ladder svc = Array.to_list svc.ladder
 let breaker_states svc = Array.to_list (Array.map Breaker.state_name svc.breakers)
 
 (** Submit a payload.  Never blocks and never raises: an admission
-    rejection (queue full / too old / service stopping) returns a ticket
+    rejection (queue full / service stopping) returns a ticket
     whose outcome is already [Error (Overloaded _)]. *)
 let submit_payload svc (payload : payload) : ticket =
   locked svc (fun () ->
@@ -696,10 +694,7 @@ let submit_payload svc (payload : payload) : ticket =
       let oldest_age =
         if Queue.is_empty svc.queue then 0.0 else now -. (Queue.peek svc.queue).submitted_at
       in
-      let age_exceeded =
-        match svc.config.max_queue_age with Some a -> oldest_age > a | None -> false
-      in
-      if svc.stopping || depth >= svc.config.queue_depth || age_exceeded then begin
+      if svc.stopping || depth >= svc.config.queue_depth then begin
         svc.stats.shed <- svc.stats.shed + 1;
         finish_locked svc ticket
           (Error (Exec_error.Overloaded { depth; age = oldest_age }))
@@ -717,8 +712,8 @@ let submit svc ?outputs ?(facts = []) (compiled : Session.compiled) : ticket =
   submit_payload svc (Run { compiled; facts; outputs })
 
 (** Submit an opaque execution (see {!payload}): it runs on a worker domain
-    under the service's deadline/retry/chaos supervision with the granted
-    rung and per-attempt config passed in. *)
+    under the service's deadline/retry/chaos supervision with rung 0 and
+    the per-attempt config passed in. *)
 let submit_exec svc (f : rung:Registry.spec -> config:Interp.config -> Session.result) :
     ticket =
   submit_payload svc (Exec f)

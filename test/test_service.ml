@@ -12,6 +12,8 @@
     - circuit breaker at the service level (injectable clock): consecutive
       budget faults open rung 0, requests skip straight to the cheaper
       rung, and a successful half-open probe restores fidelity;
+    - session executions ([submit_exec]) run once at rung 0: a budget
+      failure neither re-runs them down the ladder nor trips a breaker;
     - transient retry with backoff (chaos NaN poisoning caught by the
       finiteness guardrail);
     - per-request deadline propagation (queue wait and stalls burn it);
@@ -300,6 +302,56 @@ let test_service_breaker_degrades_and_recovers () =
       if s.Service.breaker_opens < 2 then
         Alcotest.failf "expected >= 2 breaker opens, got %d" s.Service.breaker_opens)
 
+(* ---- session executions bypass the ladder ------------------------------------------ *)
+
+let test_exec_bypasses_ladder () =
+  let compiled = Session.compile trivial_src in
+  let config =
+    {
+      (Service.default_config ()) with
+      Service.jobs = 1;
+      max_retries = 0;
+      breaker_threshold = 2;
+      watchdog_interval = None;
+    }
+  in
+  Service.with_service ~config (Registry.Top_k_proofs 1) (fun svc ->
+      (* the rungs the closure was granted, newest first; checked after
+         [await] (which orders it after the worker's write), since a failed
+         check inside the closure would kill the worker *)
+      let granted = ref [] in
+      let exhausted ~rung ~config:_ =
+        granted := Registry.spec_name rung :: !granted;
+        raise
+          (Session.Error
+             (Exec_error.Budget_exceeded
+                { kind = Exec_error.Deadline; stratum = 0; iterations = 0; elapsed = 0.0 }))
+      in
+      for i = 1 to 3 do
+        let o = Service.await svc (Service.submit_exec svc exhausted) in
+        check
+          Alcotest.(list string)
+          "closure ran once per request, at rung 0"
+          (List.init i (fun _ -> "topkproofs-1"))
+          !granted;
+        check Alcotest.int "one attempt" 1 o.Service.attempts;
+        check Alcotest.string "reply names rung 0" "topkproofs-1"
+          (Registry.spec_name o.Service.rung);
+        Alcotest.(check bool) "not degraded" false o.Service.degraded;
+        match o.Service.response with
+        | Error (Exec_error.Budget_exceeded _) -> ()
+        | _ -> Alcotest.fail "expected Budget_exceeded"
+      done;
+      check
+        Alcotest.(list string)
+        "breakers untouched" [ "closed"; "closed" ] (Service.breaker_states svc);
+      let o = Service.await svc (Service.submit svc compiled) in
+      (match o.Service.response with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "one-shot failed: %s" (Session.error_string e));
+      check Alcotest.string "one-shot served at rung 0" "topkproofs-1"
+        (Registry.spec_name o.Service.rung))
+
 (* ---- transient retry with backoff (NaN guardrail) -------------------------------- *)
 
 let test_nan_retry_then_exhaust () =
@@ -433,6 +485,7 @@ let suite =
       test_watchdog_kill_respawn;
     Alcotest.test_case "breaker: service degrades and recovers" `Quick
       test_service_breaker_degrades_and_recovers;
+    Alcotest.test_case "exec: rung 0 only, breakers untouched" `Quick test_exec_bypasses_ladder;
     Alcotest.test_case "transient retry: NaN guardrail" `Quick test_nan_retry_then_exhaust;
     Alcotest.test_case "deadline propagation" `Quick test_deadline_propagation;
     Alcotest.test_case "shutdown: leftovers failed, domains joined" `Quick

@@ -1,6 +1,7 @@
-(** Differential tests for the guided (lazy best-first) ∨k/∧k/¬k proof
-    operators against the eager reference oracle ({!Formula.disj_k_eager} and
-    friends, also exposed as the [topkproofseager-k] provenance), plus
+(** Differential tests for the ∨k/∧k/¬k proof operators against a naive
+    reference oracle (union or full pairwise product, then truncate; ¬k with
+    an unbounded beam), an end-to-end fixpoint differential against a
+    provenance built from that oracle, the negation regression, plus
     insertion-order determinism, the cross-iteration WMC cache, and the
     rewritten sample-k-proofs draw sequence. *)
 
@@ -52,7 +53,7 @@ let binop_case_gen =
         (raw_formula_gen ~max_proofs:6 ~max_lits:4)
         (raw_formula_gen ~max_proofs:6 ~max_lits:4))
 
-(* Negation expands the full CNF→DNF product in the unbounded eager oracle,
+(* Negation expands the full CNF→DNF product in the unbounded-beam oracle,
    so keep its inputs small enough to stay exact. *)
 let neg_case_gen =
   QCheck.make
@@ -64,39 +65,74 @@ let neg_case_gen =
         (raw_formula_gen ~max_proofs:4 ~max_lits:3))
 
 (* Provenance tags always arrive in canonical order; generated proof soup
-   does not, so bring it there first (this is what the guided operators'
-   fast paths assume). *)
+   does not, so bring it there first (this is what disj_k's fast path
+   assumes). *)
 let canon env f = Formula.top_k env max_int f
 
 (* Same proofs in the same order, and (in particular) the same recovered
    probability.  NaN probabilities recover as NaN on both sides. *)
-let agree env guided eager =
-  Formula.equal_ordered guided eager
+let agree env got expect =
+  Formula.equal_ordered got expect
   &&
-  let pg = Wmc.prob ~env guided and pe = Wmc.prob ~env eager in
+  let pg = Wmc.prob ~env got and pe = Wmc.prob ~env expect in
   (Float.is_nan pg && Float.is_nan pe) || Float.abs (pg -. pe) <= 1e-9
 
-(* ---- guided ≡ eager ----------------------------------------------------------------- *)
+(* ---- reference oracle ---------------------------------------------------------------- *)
 
-let qcheck_disj_guided_eq_eager =
+(* ∨k : union of proof sets, truncated. *)
+let disj_k_eager env k (a : Formula.t) (b : Formula.t) = Formula.top_k env k (a @ b)
+
+(* ∧k : every pairwise conflict-checked merge, truncated (Table 8). *)
+let conj_k_eager env k (a : Formula.t) (b : Formula.t) =
+  Formula.top_k env k
+    (List.concat_map (fun pa -> List.filter_map (fun pb -> Formula.merge_proofs env pa pb) b) a)
+
+(* top-k-proofs over the oracle operators: the same tag space, ρ and
+   saturation as [Prov_prob.Top_k_proofs], so whole-program outputs must
+   agree bit for bit. *)
+module Eager_top_k_proofs (K : sig
+  val k : int
+end)
+() : Provenance.S = struct
+  module P = Prov_discrete.Proofs ()
+
+  type t = Formula.t
+
+  let name = Fmt.str "topkproofseager-%d" K.k
+  let zero = Formula.ff
+  let one = Formula.tt
+  let add a b = disj_k_eager P.env K.k a b
+  let mult a b = conj_k_eager P.env K.k a b
+  let negate t = Some (Formula.neg_k P.env K.k t)
+  let saturated ~old t = Formula.equal_ordered old t
+  let discard t = Formula.is_false t
+  let weight t = Formula.prob_upper_bound P.env t
+  let tag_of_input = P.tag_of_input
+  let recover t = Provenance.Output.O_prob (Wmc.prob ~env:P.env t)
+  let pp = Formula.pp
+end
+
+(* ---- operators ≡ oracle -------------------------------------------------------------- *)
+
+let qcheck_disj_eq_oracle =
   qtest "∨k guided ≡ eager" binop_case_gen (fun (ei, k, ra, rb) ->
       let env = snd envs.(ei) in
       let a = canon env ra and b = canon env rb in
-      agree env (Formula.disj_k env k a b) (Formula.disj_k_eager env k a b))
+      agree env (Formula.disj_k env k a b) (disj_k_eager env k a b))
 
-let qcheck_conj_guided_eq_eager =
+let qcheck_conj_eq_oracle =
   qtest "∧k guided ≡ eager" binop_case_gen (fun (ei, k, ra, rb) ->
       let env = snd envs.(ei) in
       let a = canon env ra and b = canon env rb in
-      agree env (Formula.conj_k env k a b) (Formula.conj_k_eager env k a b))
+      agree env (Formula.conj_k env k a b) (conj_k_eager env k a b))
 
-let qcheck_neg_guided_eq_eager =
+let qcheck_neg_eq_unbounded =
   qtest "¬k guided ≡ unbounded eager" neg_case_gen (fun (ei, k, rf) ->
       let env = snd envs.(ei) in
       let f = canon env rf in
-      agree env (Formula.neg_k env k f) (Formula.neg_k_eager ~beam:max_int env k f))
+      agree env (Formula.neg_k env k f) (Formula.neg_k ~beam:max_int env k f))
 
-let qcheck_guided_results_canonical =
+let qcheck_results_canonical =
   qtest "guided results are already canonical" binop_case_gen (fun (ei, k, ra, rb) ->
       let env = snd envs.(ei) in
       let a = canon env ra and b = canon env rb in
@@ -123,14 +159,42 @@ let qcheck_insertion_order_determinism =
 
 (* ---- end-to-end fixpoint differential ----------------------------------------------- *)
 
+(* Run [src] under [Top_k_proofs k] and under the oracle provenance; the
+   [pred] outputs must agree tuple for tuple and bit for bit. *)
+let check_against_oracle ?config ~k src facts pred =
+  let compiled = Session.compile src in
+  let run provenance =
+    match Session.run ?config ~provenance compiled ~facts () with
+    | r -> Session.output r pred
+    | exception Session.Error e -> Alcotest.failf "%s: %a" pred Exec_error.pp e
+  in
+  let got = run (Registry.create (Registry.Top_k_proofs k)) in
+  let expect =
+    let module M =
+      Eager_top_k_proofs
+        (struct
+          let k = k
+        end)
+        ()
+    in
+    run (module M)
+  in
+  check Alcotest.int "same tuple count" (List.length expect) (List.length got);
+  List.iter2
+    (fun (tg, og) (te, oe) ->
+      if Tuple.compare tg te <> 0 then Alcotest.failf "tuple mismatch: %a vs %a" Tuple.pp tg Tuple.pp te;
+      let pg = Provenance.Output.prob og and pe = Provenance.Output.prob oe in
+      if Int64.bits_of_float pg <> Int64.bits_of_float pe then
+        Alcotest.failf "%s%a: %h vs oracle %h" pred Tuple.pp tg pg pe)
+    got expect
+
 let tc_src =
   {|type edge(i32, i32)
 rel path(a, b) = edge(a, b)
 rel path(a, c) = path(a, b), edge(b, c)
 query path|}
 
-let test_fixpoint_guided_vs_eager () =
-  let compiled = Session.compile tc_src in
+let test_fixpoint_vs_oracle () =
   let facts =
     [
       ( "edge",
@@ -139,17 +203,50 @@ let test_fixpoint_guided_vs_eager () =
               Tuple.of_list [ Value.int Value.I32 i; Value.int Value.I32 (i + 1) ] )) );
     ]
   in
-  let run spec =
-    Session.output (Session.run ~provenance:(Registry.create spec) compiled ~facts ()) "path"
+  check_against_oracle ~k:3 tc_src facts "path"
+
+(* ---- negation regression ----------------------------------------------------------- *)
+
+let unreach_src =
+  {|type node(i32)
+type edge(i32, i32)
+rel path(a, b) = edge(a, b)
+rel path(a, c) = path(a, b), edge(b, c)
+rel unreach(a, b) = node(a), node(b), not path(a, b)
+query unreach|}
+
+(* A fixed-seed random graph: [nodes] deterministic nodes and [edges]
+   distinct non-loop edges with probabilities in [0.05, 0.95]. *)
+let random_graph ~seed ~nodes ~edges =
+  let rng = Rng.create seed in
+  let i32 i = Value.int Value.I32 i in
+  let seen = Hashtbl.create edges in
+  let rec pick acc n =
+    if n = 0 then List.rev acc
+    else
+      let a = Rng.int rng nodes and b = Rng.int rng nodes in
+      if a = b || Hashtbl.mem seen (a, b) then pick acc n
+      else begin
+        Hashtbl.replace seen (a, b) ();
+        let p = Rng.uniform rng 0.05 0.95 in
+        pick ((Provenance.Input.prob p, Tuple.of_list [ i32 a; i32 b ]) :: acc) (n - 1)
+      end
   in
-  let guided = run (Registry.Top_k_proofs 3) and eager = run (Registry.Top_k_proofs_eager 3) in
-  check Alcotest.int "same tuple count" (List.length eager) (List.length guided);
-  List.iter2
-    (fun (tg, og) (te, oe) ->
-      if Tuple.compare tg te <> 0 then Alcotest.failf "tuple mismatch: %a vs %a" Tuple.pp tg Tuple.pp te;
-      check (Alcotest.float 1e-9) "same recovered prob" (Provenance.Output.prob oe)
-        (Provenance.Output.prob og))
-    guided eager
+  [
+    ("node", List.init nodes (fun i -> (Provenance.Input.none, Tuple.of_list [ i32 i ])));
+    ("edge", pick [] edges);
+  ]
+
+(* ¬k over the many overlapping proofs of a dense graph's [path] tags: the
+   cnf2dnf expansion is exponential in the clause count, so this finishes
+   well inside the deadline only if every intermediate DNF stays bounded. *)
+let test_negation_within_budget () =
+  let config =
+    { (Interp.default_config ()) with Interp.budget = Budget.make ~timeout:30.0 () }
+  in
+  check_against_oracle ~config ~k:10 unreach_src
+    (random_graph ~seed:7 ~nodes:14 ~edges:30)
+    "unreach"
 
 (* ---- WMC cache ----------------------------------------------------------------------- *)
 
@@ -333,12 +430,14 @@ let qcheck_sample_k_matches_reference =
 
 let suite =
   [
-    qcheck_disj_guided_eq_eager;
-    qcheck_conj_guided_eq_eager;
-    qcheck_neg_guided_eq_eager;
-    qcheck_guided_results_canonical;
+    qcheck_disj_eq_oracle;
+    qcheck_conj_eq_oracle;
+    qcheck_neg_eq_unbounded;
+    qcheck_results_canonical;
     qcheck_insertion_order_determinism;
-    Alcotest.test_case "fixpoint: guided ≡ eager provenance" `Quick test_fixpoint_guided_vs_eager;
+    Alcotest.test_case "fixpoint: guided ≡ eager provenance" `Quick test_fixpoint_vs_oracle;
+    Alcotest.test_case "¬k: unreach on a dense graph within budget" `Quick
+      test_negation_within_budget;
     Alcotest.test_case "wmc cache: bit-identical to uncached" `Quick test_wmc_cache_bit_identical;
     Alcotest.test_case "wmc cache: weight change invalidates" `Quick
       test_wmc_cache_invalidation_on_prob_change;

@@ -216,27 +216,6 @@ let test_top_k_by_nan_and_ties () =
 let test_dedup_stable () =
   check Alcotest.(list int) "dedup" [ 3; 1; 2 ] (Listx.dedup_stable ( = ) [ 3; 1; 3; 2; 1 ])
 
-(* ---- Heap ------------------------------------------------------------------- *)
-
-let qcheck_heap_drains_sorted =
-  qtest "heap pops in descending order" QCheck.(list int) (fun l ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) l;
-      if Heap.length h <> List.length l then false
-      else begin
-        let rec drain acc =
-          match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-        in
-        drain [] = List.sort (fun a b -> Int.compare b a) l && Heap.is_empty h
-      end)
-
-let test_heap_peek () =
-  let h = Heap.create ~cmp:Int.compare in
-  check Alcotest.(option int) "empty peek" None (Heap.peek h);
-  List.iter (Heap.push h) [ 3; 9; 1 ];
-  check Alcotest.(option int) "peek max" (Some 9) (Heap.peek h);
-  check Alcotest.int "peek does not pop" 3 (Heap.length h)
-
 let qcheck_take_length =
   qtest "take length" QCheck.(pair small_nat (list int)) (fun (n, l) ->
       List.length (Listx.take n l) = min n (List.length l))
@@ -266,7 +245,5 @@ let suite =
     Alcotest.test_case "top_k_by" `Quick test_top_k_by;
     Alcotest.test_case "top_k_by nan/ties/one-score-per-element" `Quick test_top_k_by_nan_and_ties;
     Alcotest.test_case "dedup_stable" `Quick test_dedup_stable;
-    qcheck_heap_drains_sorted;
-    Alcotest.test_case "heap peek" `Quick test_heap_peek;
     qcheck_take_length;
   ]
