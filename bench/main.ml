@@ -405,6 +405,14 @@ let rec bench_micro (m : mode) =
   let f1 = [ Scallop_core.Formula.proof_of_literals [ (0, true); (1, true) ];
              Scallop_core.Formula.proof_of_literals [ (2, true) ] ] in
   let f2 = [ Scallop_core.Formula.proof_of_literals [ (3, true); (1, false) ] ] in
+  (* ∨k in its hot shape: a canonical k-proof accumulator takes one new
+     proof that displaces the least probable one. *)
+  let acc = Scallop_core.Formula.top_k env 3 (f1 @ f2) in
+  let fresh = Scallop_core.Formula.proof_of_literals [ (4, true); (5, true) ] in
+  let dtkp_disj =
+    Test.make ~name:"dtkp-3 disj_k"
+      (Staged.stage (fun () -> ignore (Scallop_core.Formula.disj_k env 3 acc [ fresh ])))
+  in
   let dtkp_conj =
     Test.make ~name:"dtkp-3 conj_k"
       (Staged.stage (fun () -> ignore (Scallop_core.Formula.conj_k env 3 f1 f2)))
@@ -449,7 +457,7 @@ query path|}
                 ~provenance:(Scallop_core.Registry.create Scallop_core.Registry.Max_min_prob)
                 compiled ~facts ())))
   in
-  let tests = [ mmp_ops; damp_ops; dtkp_conj; dtkp_neg; wmc; fixpoint ] in
+  let tests = [ mmp_ops; damp_ops; dtkp_disj; dtkp_conj; dtkp_neg; wmc; fixpoint ] in
   let benchmark test =
     let instances = Instance.[ monotonic_clock ] in
     let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 500) () in

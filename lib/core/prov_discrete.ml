@@ -90,25 +90,36 @@ end
     absorption law holds (a proof that subsumes another absorbs it), so
     fixed points exist.  Functorized over a mutable probability store so the
     same module serves both the discrete "proofs" provenance (probabilities
-    ignored) and the exact probabilistic one (see {!Prov_prob.Exact}). *)
+    ignored) and the exact probabilistic one (see {!Prov_prob.Exact}).
+    Variable ids are allocated densely from 0, so the store is a pair of
+    growable arrays indexed by id; ids never allocated read probability 1
+    and no group. *)
 module Proofs () : sig
   include S with type t = Formula.t
 
-  val probs : (int, float) Hashtbl.t
-  val me_groups : (int, int) Hashtbl.t
   val env : Formula.env
 end = struct
   type t = Formula.t
 
   let name = "proofs"
-  let probs : (int, float) Hashtbl.t = Hashtbl.create 64
-  let me_groups : (int, int) Hashtbl.t = Hashtbl.create 64
+  let probs = ref (Array.make 64 1.0)
+  let groups = ref (Array.make 64 None)
   let next_id = ref 0
 
   let env =
     Formula.env
-      ~me_group:(fun v -> Hashtbl.find_opt me_groups v)
-      (fun v -> match Hashtbl.find_opt probs v with Some p -> p | None -> 1.0)
+      ~me_group:(fun v -> if v >= 0 && v < Array.length !groups then !groups.(v) else None)
+      (fun v -> if v >= 0 && v < Array.length !probs then !probs.(v) else 1.0)
+
+  (* Store [x] at [id], doubling the array until it fits. *)
+  let store (arr : 'a array ref) default id x =
+    let n = Array.length !arr in
+    if id >= n then begin
+      let bigger = Array.make (Stdlib.max (2 * n) (id + 1)) default in
+      Array.blit !arr 0 bigger 0 n;
+      arr := bigger
+    end;
+    !arr.(id) <- x
 
   (* No truncation: k = max_int.  Beam for cnf2dnf stays bounded to keep
      negation tractable; exactness is preserved up to that beam. *)
@@ -134,8 +145,8 @@ end = struct
     | Some p ->
         let id = !next_id in
         incr next_id;
-        Hashtbl.replace probs id p;
-        (match i.Input.me_group with Some g -> Hashtbl.replace me_groups id g | None -> ());
+        store probs 1.0 id p;
+        if Option.is_some i.Input.me_group then store groups None id i.Input.me_group;
         (Formula.of_pos id, Some id)
 
   let recover t = Output.O_proofs t

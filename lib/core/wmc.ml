@@ -103,26 +103,19 @@ let wmc_bdd (type a) (ops : a ops) ~(weight_of : int -> a) (formula : Formula.t)
    would build: cached and uncached results are bit-identical. *)
 
 module FKey = struct
-  (* Canonical structural identity: proofs as sorted literal lists, the
-     proof list itself sorted.  Independent of proof insertion order and of
-     the IMap internals. *)
-  type t = (int * bool) list list
+  (* Canonical structural identity: the proofs sorted by [proof_compare],
+     independent of proof insertion order. *)
+  type t = Formula.proof list
 
-  let of_formula (f : Formula.t) : t =
-    List.sort compare (List.map Formula.proof_literals f)
-
-  let equal (a : t) (b : t) = a = b
+  let of_formula (f : Formula.t) : t = List.sort Formula.proof_compare f
+  let equal (a : t) (b : t) = List.equal Formula.proof_equal a b
 
   (* Fold over the whole structure: formulas from one fixpoint often share
      long literal prefixes (e.g. every path(0, j) along a chain), so a
      prefix-limited polymorphic hash would put them all in one bucket. *)
   let hash (k : t) =
     List.fold_left
-      (fun h lits ->
-        List.fold_left
-          (fun h (v, s) -> (h * 131) + (2 * v) + (if s then 1 else 0))
-          ((h * 17) + 3)
-          lits)
+      (fun h p -> Array.fold_left (fun h c -> (h * 131) + c) ((h * 17) + 3) p)
       0 k
     land max_int
 end
@@ -341,7 +334,7 @@ let wmc_ie (type a) (ops : a ops) ~(weight_of : int -> a) ~(me_group : int -> in
 (* ---- public entry points ------------------------------------------------ *)
 
 let has_me_vars ~me_group formula =
-  List.exists (fun v -> me_group v <> None) (Formula.variables formula)
+  List.exists (Array.exists (fun c -> Option.is_some (me_group (Formula.lit_var c)))) formula
 
 (** WMC in an arbitrary weight semiring. *)
 let run (type a) (ops : a ops) ~(weight_of : int -> a) ~(env : Formula.env)

@@ -5,7 +5,8 @@ let () =
       ("value", Test_value.suite);
       ("bdd", Test_bdd.suite);
       ("formula-wmc", Test_formula.suite);
-      ("topk-guided", Test_topk.suite);
+      ("topk", Test_topk.suite);
+      ("topk-golden", Test_golden_topk.suite);
       ("provenance", Test_provenance.suite);
       ("aggregate", Test_aggregate.suite);
       ("parser", Test_parser.suite);

@@ -28,6 +28,10 @@ let envs =
     ("nan", Formula.env (fun v -> if v mod nvars = 2 then Float.nan else prob_of v));
     (* mutual-exclusion groups make merge_proofs drop conflicting pairs *)
     ("me", Formula.env ~me_group:(fun v -> if v mod nvars < 3 then Some 0 else None) prob_of);
+    (* weights outside [0,1]: an absorber can be less probable than the
+       proof it absorbs, so absorption must not rely on the order *)
+    ( "range",
+      Formula.env (fun v -> [| 1.4; -0.2; 0.5; 2.0; 0.3; -1.5 |].(v mod nvars)) );
   |]
 
 (* ---- generators -------------------------------------------------------------------- *)
@@ -80,17 +84,17 @@ let agree env got expect =
 (* ---- reference oracle ---------------------------------------------------------------- *)
 
 (* ∨k : union of proof sets, truncated. *)
-let disj_k_eager env k (a : Formula.t) (b : Formula.t) = Formula.top_k env k (a @ b)
+let disj_k_oracle env k (a : Formula.t) (b : Formula.t) = Formula.top_k env k (a @ b)
 
 (* ∧k : every pairwise conflict-checked merge, truncated (Table 8). *)
-let conj_k_eager env k (a : Formula.t) (b : Formula.t) =
+let conj_k_oracle env k (a : Formula.t) (b : Formula.t) =
   Formula.top_k env k
     (List.concat_map (fun pa -> List.filter_map (fun pb -> Formula.merge_proofs env pa pb) b) a)
 
 (* top-k-proofs over the oracle operators: the same tag space, ρ and
    saturation as [Prov_prob.Top_k_proofs], so whole-program outputs must
    agree bit for bit. *)
-module Eager_top_k_proofs (K : sig
+module Oracle_top_k_proofs (K : sig
   val k : int
 end)
 () : Provenance.S = struct
@@ -98,11 +102,11 @@ end)
 
   type t = Formula.t
 
-  let name = Fmt.str "topkproofseager-%d" K.k
+  let name = Fmt.str "topkproofsoracle-%d" K.k
   let zero = Formula.ff
   let one = Formula.tt
-  let add a b = disj_k_eager P.env K.k a b
-  let mult a b = conj_k_eager P.env K.k a b
+  let add a b = disj_k_oracle P.env K.k a b
+  let mult a b = conj_k_oracle P.env K.k a b
   let negate t = Some (Formula.neg_k P.env K.k t)
   let saturated ~old t = Formula.equal_ordered old t
   let discard t = Formula.is_false t
@@ -115,25 +119,25 @@ end
 (* ---- operators ≡ oracle -------------------------------------------------------------- *)
 
 let qcheck_disj_eq_oracle =
-  qtest "∨k guided ≡ eager" binop_case_gen (fun (ei, k, ra, rb) ->
+  qtest "∨k ≡ oracle" binop_case_gen (fun (ei, k, ra, rb) ->
       let env = snd envs.(ei) in
       let a = canon env ra and b = canon env rb in
-      agree env (Formula.disj_k env k a b) (disj_k_eager env k a b))
+      agree env (Formula.disj_k env k a b) (disj_k_oracle env k a b))
 
 let qcheck_conj_eq_oracle =
-  qtest "∧k guided ≡ eager" binop_case_gen (fun (ei, k, ra, rb) ->
+  qtest "∧k ≡ oracle" binop_case_gen (fun (ei, k, ra, rb) ->
       let env = snd envs.(ei) in
       let a = canon env ra and b = canon env rb in
-      agree env (Formula.conj_k env k a b) (conj_k_eager env k a b))
+      agree env (Formula.conj_k env k a b) (conj_k_oracle env k a b))
 
 let qcheck_neg_eq_unbounded =
-  qtest "¬k guided ≡ unbounded eager" neg_case_gen (fun (ei, k, rf) ->
+  qtest "¬k ≡ unbounded beam" neg_case_gen (fun (ei, k, rf) ->
       let env = snd envs.(ei) in
       let f = canon env rf in
       agree env (Formula.neg_k env k f) (Formula.neg_k ~beam:max_int env k f))
 
 let qcheck_results_canonical =
-  qtest "guided results are already canonical" binop_case_gen (fun (ei, k, ra, rb) ->
+  qtest "∨k/∧k results are canonical" binop_case_gen (fun (ei, k, ra, rb) ->
       let env = snd envs.(ei) in
       let a = canon env ra and b = canon env rb in
       let d = Formula.disj_k env k a b and c = Formula.conj_k env k a b in
@@ -157,6 +161,106 @@ let qcheck_insertion_order_determinism =
            (Formula.disj_k env k (canon env rf) Formula.ff)
            (Formula.disj_k env k (canon env shuffled) Formula.ff))
 
+(* ---- off the canonical path -------------------------------------------------------- *)
+
+(* An out-of-order operand: a canonical formula, some of its proofs
+   repeated, shuffled. *)
+let shuffled_with_repeats seed (f : Formula.t) =
+  let rng = Rng.create seed in
+  let arr = Array.of_list (f @ Scallop_utils.Listx.take (Rng.int rng 3) f) in
+  Rng.shuffle rng arr;
+  Array.to_list arr
+
+let noncanon_case_gen =
+  QCheck.make
+    ~print:(fun ((ei, k, a, b), seed, side) ->
+      Fmt.str "env=%s k=%d a=%s b=%s seed=%d side=%d" (fst envs.(ei)) k (fpp a) (fpp b) seed side)
+    QCheck.Gen.(triple (QCheck.gen binop_case_gen) (int_bound 1000) (int_bound 2))
+
+(* ∨k canonicalizes out-of-order operands exactly as the oracle does — except
+   that a false right operand leaves a short left one as it is — and ∧k,
+   which sorts its product anyway, never looks at the operands' order. *)
+let qcheck_noncanonical_operands =
+  qtest "∨k/∧k: out-of-order operands ≡ oracle" noncanon_case_gen
+    (fun ((ei, k, ra, rb), seed, side) ->
+      let env = snd envs.(ei) in
+      let a = canon env ra and b = canon env rb in
+      let a = if side <> 1 then shuffled_with_repeats seed a else a in
+      let b = if side <> 0 then shuffled_with_repeats (seed + 1) b else b in
+      let disj_expect =
+        if Formula.is_false b && List.compare_length_with a k <= 0 then a
+        else disj_k_oracle env k a b
+      in
+      agree env (Formula.disj_k env k a b) disj_expect
+      && agree env (Formula.conj_k env k a b) (conj_k_oracle env k a b))
+
+(* A single new proof against an accumulator: the shape of almost every ∨k a
+   fixpoint or an aggregation performs. *)
+let qcheck_single_proof_operand =
+  qtest "∨k/∧k: single-proof right operand ≡ oracle" binop_case_gen (fun (ei, k, ra, rb) ->
+      let env = snd envs.(ei) in
+      let a = canon env ra in
+      List.for_all
+        (fun q ->
+          agree env (Formula.disj_k env k a [ q ]) (disj_k_oracle env k a [ q ])
+          && agree env (Formula.conj_k env k a [ q ]) (conj_k_oracle env k a [ q ]))
+        rb)
+
+(* ---- flat proofs ≡ the map representation --------------------------------------------- *)
+
+(* Proofs used to be [bool IMap.t]; the flat literal-code arrays must keep
+   its order (the canonical tie-break), its literal lists and its
+   conflict semantics. *)
+module IMap = Map.Make (Int)
+
+let map_of_literals lits = List.fold_left (fun m (v, s) -> IMap.add v s m) IMap.empty lits
+
+let map_merge env a b =
+  let conflict = ref false in
+  let m =
+    IMap.union
+      (fun _ sa sb ->
+        if sa <> sb then conflict := true;
+        Some sa)
+      a b
+  in
+  let positives_by_group =
+    IMap.fold
+      (fun v s acc ->
+        match env.Formula.me_group v with
+        | Some g when s -> IMap.update g (fun n -> Some (1 + Option.value n ~default:0)) acc
+        | _ -> acc)
+      m IMap.empty
+  in
+  if !conflict || IMap.exists (fun _ n -> n > 1) positives_by_group then None else Some m
+
+let lits_gen = QCheck.Gen.(list_size (int_range 0 5) literal_gen)
+
+let lits_pair_gen =
+  QCheck.make
+    ~print:(fun (ei, l1, l2) ->
+      let pl = Fmt.(Dump.list (Dump.pair int bool)) in
+      Fmt.str "env=%s l1=%a l2=%a" (fst envs.(ei)) pl l1 pl l2)
+    QCheck.Gen.(triple (int_bound (Array.length envs - 1)) lits_gen lits_gen)
+
+let sign c = Int.compare c 0
+
+let qcheck_proofs_match_map_reference =
+  qtest ~count:1000 "proofs: order, literals, merge and absorption ≡ map reference"
+    lits_pair_gen (fun (ei, l1, l2) ->
+      let env = snd envs.(ei) in
+      let p1 = Formula.proof_of_literals l1 and p2 = Formula.proof_of_literals l2 in
+      let m1 = map_of_literals l1 and m2 = map_of_literals l2 in
+      sign (Formula.proof_compare p1 p2) = sign (IMap.compare Bool.compare m1 m2)
+      && Formula.proof_equal p1 p2 = IMap.equal Bool.equal m1 m2
+      (* round trip; a repeated variable keeps its last binding *)
+      && Formula.proof_literals p1 = IMap.bindings m1
+      && Formula.proof_equal (Formula.proof_of_literals (Formula.proof_literals p1)) p1
+      && Formula.absorbs p1 p2
+         = IMap.for_all (fun v s -> IMap.find_opt v m2 = Some s) m1
+      && Option.map Formula.proof_literals (Formula.merge_proofs env p1 p2)
+         = Option.map IMap.bindings (map_merge env m1 m2))
+
 (* ---- end-to-end fixpoint differential ----------------------------------------------- *)
 
 (* Run [src] under [Top_k_proofs k] and under the oracle provenance; the
@@ -171,7 +275,7 @@ let check_against_oracle ?config ~k src facts pred =
   let got = run (Registry.create (Registry.Top_k_proofs k)) in
   let expect =
     let module M =
-      Eager_top_k_proofs
+      Oracle_top_k_proofs
         (struct
           let k = k
         end)
@@ -435,7 +539,10 @@ let suite =
     qcheck_neg_eq_unbounded;
     qcheck_results_canonical;
     qcheck_insertion_order_determinism;
-    Alcotest.test_case "fixpoint: guided ≡ eager provenance" `Quick test_fixpoint_vs_oracle;
+    qcheck_noncanonical_operands;
+    qcheck_single_proof_operand;
+    qcheck_proofs_match_map_reference;
+    Alcotest.test_case "fixpoint: top-k ≡ oracle provenance" `Quick test_fixpoint_vs_oracle;
     Alcotest.test_case "¬k: unreach on a dense graph within budget" `Quick
       test_negation_within_budget;
     Alcotest.test_case "wmc cache: bit-identical to uncached" `Quick test_wmc_cache_bit_identical;
