@@ -7,10 +7,19 @@
     [discard]) and merges with previously derived facts (Rule-1/2/3).
     Stratum evaluation is the saturation-checked least-fixed-point lfp°.
 
-    The interpreter evaluates {!Plan.t} trees (RAM expressions annotated at
-    compile time with stable node ids and stratum-invariance flags) rather
-    than raw {!Ram.expr}s.  The annotations drive two features:
+    Two executors evaluate {!Plan.t} trees (RAM expressions annotated at
+    compile time with stable node ids and stratum-invariance flags): the
+    row tree-walker over [Tuple.Map] relations, and the columnar executor
+    over {!Batch_ops} sorted-run batches ([config.columnar]).  Both cover
+    every operator and share everything above the operator layer:
 
+    - {e one stratum driver} (the lfp° of Fig. 24, run semi-naively as in
+      Sec. 5) does the round bookkeeping — iteration cap, profiler traces,
+      delta sizes, stop when every delta drains — for non-recursive strata,
+      naive and semi-naive fixed points, and the incremental engine's
+      continuation from given deltas.  An executor only supplies a small
+      {!engine}: evaluate a rule's plans into a normalized update, diff it
+      against the round-start state, push it, bind deltas.
     - {e profiling}: when [config.stats] is set, every node evaluation is
       counted and timed under its node id, and each stratum records an
       iteration trace (see {!Plan.stats}).  With [stats = None] the only
@@ -18,10 +27,11 @@
     - {e fixpoint caching}: when [config.cache_indices] is set, join and
       anti-join indices whose right side is invariant within the stratum,
       normalized right-hand relations of −/∩, and the materialized results
-      of maximal invariant subtrees are computed once per stratum and reused
-      across fixpoint iterations.  Caches are discarded at stratum exit.
-      Invariance excludes samplers, so cached evaluation is observationally
-      identical to uncached evaluation.
+      of maximal invariant subtrees are computed once per recursive stratum
+      and reused across fixpoint iterations, through one memo helper keyed
+      by plan id.  Caches are discarded at stratum exit.  Invariance
+      excludes samplers, so cached evaluation is observationally identical
+      to uncached evaluation.
 
     Every run is additionally governed by a {!Budget.t} carried in the
     config: wall-clock deadline, per-stratum fixpoint-iteration cap,
@@ -70,12 +80,12 @@ type config = {
       (** reuse join indices / invariant sub-relations across fixpoint
           iterations (sound; see {!Plan}) *)
   columnar : bool;
-      (** evaluate strata with the columnar batch executor ({!Batch_ops});
-          plan subtrees the columnar path does not cover (samplers, foreign
-          joins — [Plan.colable = false]) fall back to the tree-walker over
-          decoded views.  Bit-identical to the tree-walker for every
-          registered provenance whose ⊕ is associative (all of them); see
-          DESIGN.md "Columnar executor". *)
+      (** evaluate strata with the columnar batch executor ({!Batch_ops}),
+          which covers every plan operator (samplers and foreign joins call
+          the same sampling and foreign-call code as the tree-walker).
+          Bit-identical to the tree-walker for every registered provenance
+          whose ⊕ is associative (all of them); see DESIGN.md "Columnar
+          executor". *)
   stats : stats option;  (** profiling sink; [None] disables collection *)
 }
 
@@ -199,6 +209,191 @@ let check_iteration config (mon : monitor) ~next_iter =
     budget_stop config mon Exec_error.Iterations;
   if mon.watched then check_wall config mon
 
+(* The monitor of a fresh run, with the wall clock polled once up front. *)
+let start_monitor config =
+  let mon = make_monitor config.budget in
+  if mon.watched then check_wall config mon;
+  mon
+
+(* Stratum [sidx] is about to run: budget diagnostics name it. *)
+let enter_stratum (mon : monitor) sidx =
+  mon.m_stratum <- sidx;
+  mon.m_iterations <- 0
+
+(* Per-stratum iteration trace, appended to the profiling sink in stratum
+   order. *)
+let new_trace config sidx =
+  match config.stats with
+  | Some st ->
+      let tr = { Plan.stratum_index = sidx; iterations = 0; delta_sizes = [] } in
+      st.stratum_traces <- st.stratum_traces @ [ tr ];
+      Some tr
+  | None -> None
+
+let record_iter config trace ?size () =
+  bump_stats config;
+  match trace with
+  | None -> ()
+  | Some tr ->
+      tr.iterations <- tr.iterations + 1;
+      (match size with Some n -> tr.delta_sizes <- n :: tr.delta_sizes | None -> ())
+
+(* ---- fixpoint caches ----------------------------------------------------------- *)
+
+(** Per-stratum caches, keyed by plan node id; valid for the duration of one
+    stratum's fixed point because cached nodes are invariant there.  Each
+    executor instantiates the four tables with its own representations. *)
+type ('rel, 'jix, 'aix, 'norm) cache = {
+  rels : (int, 'rel) Hashtbl.t;  (** materialized results of maximal invariant subtrees *)
+  joins : (int, 'jix) Hashtbl.t;  (** join right-side indices, keyed by the right child *)
+  antis : (int, 'aix) Hashtbl.t;  (** anti-join right-side ⊕-merged indices *)
+  norms : (int, 'norm) Hashtbl.t;  (** normalized right-hand relations of −/∩ *)
+}
+
+(* Caches only pay off across fixpoint iterations (every plan node has a
+   unique id, so within one pass nothing is ever looked up twice).  A
+   non-recursive stratum runs exactly one pass: building the cache tables
+   there is pure overhead — measurably so on small aggregation strata — so
+   skip them. *)
+let stratum_cache config (s : Plan.stratum) =
+  if config.cache_indices && s.Plan.recursive then begin
+    (match config.stats with Some st -> st.cache_tables <- st.cache_tables + 1 | None -> ());
+    Some
+      {
+        rels = Hashtbl.create 16;
+        joins = Hashtbl.create 16;
+        antis = Hashtbl.create 16;
+        norms = Hashtbl.create 16;
+      }
+  end
+  else None
+
+(* The one cache lookup: an invariant node [p] reached with a cache is
+   looked up in [table]; on a miss it is built {e without} the cache (every
+   descendant of an invariant node is invariant too, so nothing below it
+   needs one) and remembered.  [build] receives the cache its children
+   should see. *)
+let memo config cache table (p : Plan.t) build =
+  match cache with
+  | Some c when p.Plan.invariant -> (
+      let tbl = table c in
+      match Hashtbl.find_opt tbl p.Plan.pid with
+      | Some v ->
+          record_hit config p.Plan.pid;
+          v
+      | None ->
+          let v = build None in
+          Hashtbl.add tbl p.Plan.pid v;
+          v)
+  | _ -> build cache
+
+let rels c = c.rels
+let joins c = c.joins
+let antis c = c.antis
+let norms c = c.norms
+
+(* One node evaluation under budget accounting and, with a profiling sink,
+   per-node counts and inclusive wall time. *)
+let timed config mon (p : Plan.t) size f =
+  check_node config mon;
+  match config.stats with
+  | None -> f ()
+  | Some s ->
+      let t0 = Scallop_utils.Monotonic.now () in
+      let r = f () in
+      let st = Plan.node_stat s p.Plan.pid in
+      st.evals <- st.evals + 1;
+      st.tuples <- st.tuples + size r;
+      st.seconds <- st.seconds +. (Scallop_utils.Monotonic.now () -. t0);
+      r
+
+(* ---- the stratum driver (Fig. 24, lfp°) ------------------------------------------ *)
+
+(** What the stratum driver needs from an executor.  ['db] is its database,
+    ['run] a normalized update or delta relation. *)
+type ('db, 'run) engine = {
+  update : 'db -> Plan.t list -> 'run;
+      (** ⊕-normalized derivations of the plans, charged against the tuple
+          budget *)
+  delta : 'db -> string -> 'run -> 'run;
+      (** the update's changed tuples against the head in ['db], under their
+          merged (old ⊕ new) tags *)
+  push : 'db -> string -> 'run -> 'db;  (** ⊕-merge the update into the head *)
+  bind : 'db -> string -> 'run -> 'db;  (** bind a delta under {!Plan.delta_name} *)
+  size : 'run -> int;
+}
+
+let bodies (r : Plan.rule) = [ r.Plan.body ]
+let delta_bodies (r : Plan.rule) = r.Plan.deltas
+
+let updates eng db plans_of (rules : Plan.rule list) =
+  List.map (fun (r : Plan.rule) -> (r.Plan.head, eng.update db (plans_of r))) rules
+
+let push_all eng db ups = List.fold_left (fun db (h, u) -> eng.push db h u) db ups
+let bind_all eng db deltas = List.fold_left (fun db (h, d) -> eng.bind db h d) db deltas
+
+(* One round: every rule reads the round-start state [db] (with deltas bound
+   in [db_eval]); all deltas are taken against [db] before any update is
+   pushed, since columnar heads are mutable.  Heads are distinct within a
+   stratum, so updates never collide. *)
+let round eng db db_eval plans_of rules =
+  let ups = updates eng db_eval plans_of rules in
+  let deltas = List.map (fun (h, u) -> (h, eng.delta db h u)) ups in
+  (push_all eng db ups, deltas)
+
+(* Rounds numbered from 1 until every delta drains.  A [full] round
+   evaluates whole rule bodies; later rounds evaluate the delta variants
+   over the bound deltas when [semi], whole bodies again otherwise (the
+   naive reference).  An empty delta ⟺ the head is saturated, because
+   saturation is reflexive, so both share one termination test.  [seen]
+   receives each round's deltas. *)
+let fixpoint config mon eng trace ~semi ?(seen = ignore) rules ~full db deltas =
+  let rec go iter ~full db deltas =
+    if (not full) && List.for_all (fun (_, d) -> eng.size d = 0) deltas then begin
+      mon.m_iterations <- iter - 1;
+      db
+    end
+    else begin
+      check_iteration config mon ~next_iter:iter;
+      let db', deltas' =
+        if full || not semi then round eng db db bodies rules
+        else round eng db (bind_all eng db deltas) delta_bodies rules
+      in
+      let size =
+        match trace with
+        | Some _ -> Some (List.fold_left (fun acc (_, d) -> acc + eng.size d) 0 deltas')
+        | None -> None
+      in
+      record_iter config trace ?size ();
+      seen deltas';
+      go (iter + 1) ~full:false db' deltas'
+    end
+  in
+  go 1 ~full db deltas
+
+(* Cold evaluation of stratum [sidx] on [eng]: a non-recursive stratum is
+   one pass over the rule bodies, with no deltas; a recursive one starts
+   its fixed point from a full round. *)
+let stratum config mon eng sidx (s : Plan.stratum) db =
+  let trace = new_trace config sidx in
+  if not s.Plan.recursive then begin
+    check_iteration config mon ~next_iter:1;
+    record_iter config trace ();
+    push_all eng db (updates eng db bodies s.Plan.rules)
+  end
+  else fixpoint config mon eng trace ~semi:config.semi_naive s.Plan.rules ~full:true db []
+
+(* Fold strata in order, numbering them from 0; [after] sees each
+   stratum's result. *)
+let fold_strata ?(after = fun _ _ -> ()) eval_one db strata =
+  fst
+    (List.fold_left
+       (fun (db, i) s ->
+         let db = eval_one db i s in
+         after i db;
+         (db, i + 1))
+       (db, 0) strata)
+
 module Make (P : Provenance.S) = struct
   module Agg = Aggregate.Make (P)
   module B = Batch_ops.Make (P)
@@ -252,7 +447,7 @@ module Make (P : Provenance.S) = struct
       (Tuple.t * (Tuple.t * P.t) list) list =
     Tuple.Map.bindings (group_map_by_key key_len items)
 
-  (* ---- samplers ---------------------------------------------------------- *)
+  (* ---- samplers and foreign joins (shared by both executors) ------------- *)
 
   (* All samplers return exactly [min k |items|] tuples in ascending input
      order (input order is itself canonical: sampler bodies are normalized,
@@ -280,32 +475,54 @@ module Make (P : Provenance.S) = struct
           |> Array.map (fun i -> arr.(i))
           |> Array.to_list
 
-  (* ---- fixpoint caches ---------------------------------------------------- *)
+  (* A sampler node over its normalized body, in tuple order.  Grouped
+     samplers draw per key, keys ascending; a [where] domain only scopes
+     the grouping, so it is never evaluated. *)
+  let sample config sampler ~key_len (group : Plan.group) items =
+    match group with
+    | Plan.No_group -> apply_sampler config sampler items
+    | Plan.Implicit | Plan.Domain _ ->
+        group_by_key key_len items
+        |> List.concat_map (fun (key, group_items) ->
+               apply_sampler config sampler group_items
+               |> List.map (fun (r, t) -> (Tuple.append key r, t)))
 
-  (** Per-stratum caches, keyed by plan node id; valid for the duration of
-      one stratum's fixed point because cached nodes are invariant there. *)
-  type cache = {
-    c_rels : (int, (Tuple.t * P.t) list) Hashtbl.t;
-        (** materialized results of maximal invariant subtrees *)
-    c_joins : (int, (Tuple.t * P.t) list Tuple.Map.t) Hashtbl.t;
-        (** join right-side indices, keyed by the right child's id *)
-    c_antis : (int, P.t Tuple.Map.t) Hashtbl.t;
-        (** anti-join right-side ⊕-merged indices *)
-    c_norms : (int, P.t Tuple.Map.t) Hashtbl.t;
-        (** normalized right-hand relations of −/∩ *)
-  }
+  (* A foreign-predicate join, checked before its left side is evaluated:
+     each left tuple is extended with the free positions of every tuple the
+     predicate yields for it. *)
+  let foreign_join name args free_cols : (Tuple.t * P.t) list -> (Tuple.t * P.t) list =
+    match Foreign.lookup_predicate name with
+    | None -> runtime_error ("unknown foreign predicate $" ^ name)
+    | Some (arity, fp) ->
+        if List.length args <> arity then
+          runtime_error ("arity mismatch for foreign predicate " ^ name);
+        List.concat_map (fun (ul, tl) ->
+            let pattern =
+              Array.of_list
+                (List.map
+                   (function
+                     | Ram.F_col i -> Some ul.(i)
+                     | Ram.F_const v -> Some v
+                     | Ram.F_free -> None)
+                   args)
+            in
+            match fp pattern with
+            | Error msg -> runtime_error (name ^ ": " ^ msg)
+            | Ok tuples ->
+                (* keep only the free positions, in order; positions are
+                   precomputed per node, not per result tuple *)
+                List.map
+                  (fun full ->
+                    let extra = Array.map (fun i -> full.(i)) free_cols in
+                    (Tuple.append ul extra, tl))
+                  tuples)
 
-  let record_cache_table config =
-    match config.stats with Some s -> s.cache_tables <- s.cache_tables + 1 | None -> ()
+  let negate_tag t =
+    match P.negate t with
+    | Some nt -> nt
+    | None -> runtime_error (P.name ^ " does not support negation")
 
-  let fresh_cache config =
-    record_cache_table config;
-    {
-      c_rels = Hashtbl.create 16;
-      c_joins = Hashtbl.create 16;
-      c_antis = Hashtbl.create 16;
-      c_norms = Hashtbl.create 16;
-    }
+  (* ---- row expression evaluation (Fig. 7 / Fig. 23) ---------------------- *)
 
   let build_join_index rkeys rights : (Tuple.t * P.t) list Tuple.Map.t =
     List.fold_left
@@ -323,53 +540,17 @@ module Make (P : Provenance.S) = struct
           m)
       Tuple.Map.empty rights
 
-  (* ---- expression evaluation (Fig. 7 / Fig. 23) -------------------------- *)
-
-  (* [eval] wraps [eval_node] with (a) result caching at maximal invariant
-     subtrees — an invariant node reached from a variant parent checks the
-     cache; its own subtree is then evaluated cache-less since every
-     descendant is invariant too — and (b) per-node profiling.  Wall times
-     are inclusive of children. *)
-  let rec eval config mon (cache : cache option) (db : db) (p : Plan.t) :
-      (Tuple.t * P.t) list =
-    match cache with
-    | Some c when p.Plan.invariant -> (
-        match Hashtbl.find_opt c.c_rels p.Plan.pid with
-        | Some r ->
-            record_hit config p.Plan.pid;
-            r
-        | None ->
-            let r = eval_timed config mon None db p in
-            Hashtbl.add c.c_rels p.Plan.pid r;
-            r)
-    | _ -> eval_timed config mon cache db p
-
-  and eval_timed config mon cache db (p : Plan.t) =
-    check_node config mon;
-    match config.stats with
-    | None -> eval_node config mon cache db p
-    | Some s ->
-        let t0 = Scallop_utils.Monotonic.now () in
-        let r = eval_node config mon cache db p in
-        let st = Plan.node_stat s p.Plan.pid in
-        st.evals <- st.evals + 1;
-        st.tuples <- st.tuples + List.length r;
-        st.seconds <- st.seconds +. (Scallop_utils.Monotonic.now () -. t0);
-        r
+  (* Wall times are inclusive of children.  Child evaluation order is part
+     of the contract: right sides before left sides (OCaml evaluates
+     arguments right to left), which the columnar executor mirrors so
+     sampler draws happen in the same sequence. *)
+  let rec eval config mon cache (db : db) (p : Plan.t) : (Tuple.t * P.t) list =
+    memo config cache rels p (fun cache ->
+        timed config mon p List.length (fun () -> eval_node config mon cache db p))
 
   (* Normalized right-hand side of −/∩, cached when invariant. *)
   and normalized_right config mon cache db (b : Plan.t) : P.t Tuple.Map.t =
-    match cache with
-    | Some c when b.Plan.invariant -> (
-        match Hashtbl.find_opt c.c_norms b.Plan.pid with
-        | Some m ->
-            record_hit config b.Plan.pid;
-            m
-        | None ->
-            let m = normalize (eval config mon None db b) in
-            Hashtbl.add c.c_norms b.Plan.pid m;
-            m)
-    | _ -> normalize (eval config mon cache db b)
+    memo config cache norms b (fun cache -> normalize (eval config mon cache db b))
 
   and eval_node config mon cache (db : db) (p : Plan.t) : (Tuple.t * P.t) list =
     match p.Plan.desc with
@@ -392,14 +573,11 @@ module Make (P : Provenance.S) = struct
         (* Diff-1: tuple absent from b — propagate unchanged.
            Diff-2: present in both — tag t₁ ⊗ ⊖t₂ (information-preserving). *)
         let rb = normalized_right config mon cache db b in
-        List.filter_map
+        List.map
           (fun (u, ta) ->
             match Tuple.Map.find_opt u rb with
-            | None -> Some (u, ta)
-            | Some tb -> (
-                match P.negate tb with
-                | Some ntb -> Some (u, P.mult ta ntb)
-                | None -> runtime_error (P.name ^ " does not support negation")))
+            | None -> (u, ta)
+            | Some tb -> (u, P.mult ta (negate_tag tb)))
           (eval config mon cache db a)
     | Plan.Intersect (a, b) ->
         let rb = normalized_right config mon cache db b in
@@ -409,17 +587,8 @@ module Make (P : Provenance.S) = struct
           (eval config mon cache db a)
     | Plan.Join { lkeys; rkeys; left; right } ->
         let index =
-          match cache with
-          | Some c when right.Plan.invariant -> (
-              match Hashtbl.find_opt c.c_joins right.Plan.pid with
-              | Some idx ->
-                  record_hit config right.Plan.pid;
-                  idx
-              | None ->
-                  let idx = build_join_index rkeys (eval config mon None db right) in
-                  Hashtbl.add c.c_joins right.Plan.pid idx;
-                  idx)
-          | _ -> build_join_index rkeys (eval config mon cache db right)
+          memo config cache joins right (fun cache ->
+              build_join_index rkeys (eval config mon cache db right))
         in
         List.concat_map
           (fun (ul, tl) ->
@@ -433,27 +602,15 @@ module Make (P : Provenance.S) = struct
         (* Right side is keyed and ⊕-merged; a left tuple matching key k is
            tagged t_l ⊗ ⊖(⊕ of right tags at k). *)
         let index =
-          match cache with
-          | Some c when right.Plan.invariant -> (
-              match Hashtbl.find_opt c.c_antis right.Plan.pid with
-              | Some idx ->
-                  record_hit config right.Plan.pid;
-                  idx
-              | None ->
-                  let idx = build_antijoin_index rkeys (eval config mon None db right) in
-                  Hashtbl.add c.c_antis right.Plan.pid idx;
-                  idx)
-          | _ -> build_antijoin_index rkeys (eval config mon cache db right)
+          memo config cache antis right (fun cache ->
+              build_antijoin_index rkeys (eval config mon cache db right))
         in
-        List.filter_map
+        List.map
           (fun (ul, tl) ->
             let key = Tuple.project lkeys ul in
             match Tuple.Map.find_opt key index with
-            | None -> Some (ul, tl)
-            | Some tr -> (
-                match P.negate tr with
-                | Some ntr -> Some (ul, P.mult tl ntr)
-                | None -> runtime_error (P.name ^ " does not support negation")))
+            | None -> (ul, tl)
+            | Some tr -> (ul, P.mult tl (negate_tag tr)))
           (eval config mon cache db left)
     | Plan.One_overwrite e ->
         Tuple.Map.bindings (normalize (eval config mon cache db e))
@@ -484,83 +641,20 @@ module Make (P : Provenance.S) = struct
                 Agg.run agg ~arg_len group_items
                 |> List.map (fun (r, t) -> (Tuple.append key r, P.mult tg t)))
               domain)
-    | Plan.Sample { sampler; key_len; group; body } -> (
-        let items = Tuple.Map.bindings (normalize (eval config mon cache db body)) in
-        match group with
-        | Plan.No_group -> apply_sampler config sampler items
-        | Plan.Implicit | Plan.Domain _ ->
-            group_by_key key_len items
-            |> List.concat_map (fun (key, group_items) ->
-                   apply_sampler config sampler group_items
-                   |> List.map (fun (r, t) -> (Tuple.append key r, t))))
-    | Plan.Foreign_join { name; args; free_cols; left } -> (
-        match Foreign.lookup_predicate name with
-        | None -> runtime_error ("unknown foreign predicate $" ^ name)
-        | Some (arity, fp) ->
-            if List.length args <> arity then
-              runtime_error ("arity mismatch for foreign predicate " ^ name);
-            List.concat_map
-              (fun (ul, tl) ->
-                let pattern =
-                  Array.of_list
-                    (List.map
-                       (function
-                         | Ram.F_col i -> Some ul.(i)
-                         | Ram.F_const v -> Some v
-                         | Ram.F_free -> None)
-                       args)
-                in
-                match fp pattern with
-                | Error msg -> runtime_error (name ^ ": " ^ msg)
-                | Ok tuples ->
-                    (* keep only the free positions, in order; positions are
-                       precomputed per node, not per result tuple *)
-                    List.map
-                      (fun full ->
-                        let extra = Array.map (fun i -> full.(i)) free_cols in
-                        (Tuple.append ul extra, tl))
-                      tuples)
-              (eval config mon cache db left))
+    | Plan.Sample { sampler; key_len; group; body } ->
+        sample config sampler ~key_len group
+          (Tuple.Map.bindings (normalize (eval config mon cache db body)))
+    | Plan.Foreign_join { name; args; free_cols; left } ->
+        let call = foreign_join name args free_cols in
+        call (eval config mon cache db left)
 
-  (* ---- rules (Fig. 24, Rule-1/2/3) --------------------------------------- *)
+  (* ---- row strata ---------------------------------------------------------- *)
 
-  (* Rule-1: tuple only in old — keep.  Rule-2: only newly derived — add.
-     Rule-3: both — ⊕-merge.  [Tuple.Map.union] visits only colliding keys,
-     so merging a small delta into a large accumulated relation costs
-     O(|new| log |old|) rather than O(|old|). *)
-  let merge_newly (old : relation) (newly : relation) : relation =
-    Tuple.Map.union (fun _u t_old t_new -> Some (P.add t_old t_new)) old newly
-
-  let eval_rule config mon cache (db : db) (r : Plan.rule) : relation =
-    let newly = normalize (eval config mon cache db r.Plan.body) in
-    charge_tuples config mon (Tuple.Map.cardinal newly);
-    merge_newly (relation_of db r.Plan.head) newly
-
-  (* ---- strata (Fig. 24, lfp°) -------------------------------------------- *)
-
-  let relation_saturated ~(old_rel : relation) (new_rel : relation) : bool =
-    Tuple.Map.for_all
-      (fun u t_new ->
-        match Tuple.Map.find_opt u old_rel with
-        | Some t_old -> P.saturated ~old:t_old t_new
-        | None -> false)
-      new_rel
-
-  (* Changed ("delta") tuples of a full new relation vs. the old one. *)
-  let changed ~(old_rel : relation) (new_rel : relation) : relation =
-    Tuple.Map.filter
-      (fun u t_new ->
-        match Tuple.Map.find_opt u old_rel with
-        | Some t_old -> not (P.saturated ~old:t_old t_new)
-        | None -> true)
-      new_rel
-
-  (* Delta of one semi-naive round, computed from the round's normalized
-     derivations only (O(|newly| log |old|)): a tuple outside [newly] keeps
-     its old tag, and saturation is reflexive (required for termination), so
-     it can never be part of the delta.  Delta tuples carry their merged
-     (old ⊕ new) tag, exactly as [changed] over the merged relation would
-     produce. *)
+  (* Delta of one round, computed from the round's normalized derivations
+     only (O(|newly| log |old|)): a tuple outside [newly] keeps its old tag,
+     and saturation is reflexive (required for termination), so it can
+     never be part of the delta.  Delta tuples carry their merged
+     (old ⊕ new) tag. *)
   let delta_of ~(old_rel : relation) (newly : relation) : relation =
     Tuple.Map.fold
       (fun u t_new acc ->
@@ -571,456 +665,201 @@ module Make (P : Provenance.S) = struct
             if P.saturated ~old:t_old merged then acc else Tuple.Map.add u merged acc)
       newly Tuple.Map.empty
 
-  (* Per-stratum iteration trace, appended to the profiling sink in stratum
-     order (shared by [eval_stratum] and [continue_stratum]). *)
-  let new_trace config sidx =
-    match config.stats with
-    | Some st ->
-        let tr = { Plan.stratum_index = sidx; iterations = 0; delta_sizes = [] } in
-        st.stratum_traces <- st.stratum_traces @ [ tr ];
-        Some tr
-    | None -> None
+  (* Rule-1: tuple only in old — keep.  Rule-2: only newly derived — add.
+     Rule-3: both — ⊕-merge.  [Tuple.Map.union] visits only colliding keys,
+     so merging a small delta into a large accumulated relation costs
+     O(|new| log |old|) rather than O(|old|). *)
+  let merge_newly (old : relation) (newly : relation) : relation =
+    Tuple.Map.union (fun _u t_old t_new -> Some (P.add t_old t_new)) old newly
 
-  let record_iter config trace ?size () =
-    bump_stats config;
-    match trace with
-    | None -> ()
-    | Some tr ->
-        tr.iterations <- tr.iterations + 1;
-        (match size with Some n -> tr.delta_sizes <- n :: tr.delta_sizes | None -> ())
+  let row_engine config mon cache : (db, relation) engine =
+    {
+      update =
+        (fun db plans ->
+          let derived =
+            match plans with
+            | [ p ] -> eval config mon cache db p
+            | ps -> List.concat_map (eval config mon cache db) ps
+          in
+          let newly = normalize derived in
+          charge_tuples config mon (Tuple.Map.cardinal newly);
+          newly);
+      delta = (fun db h newly -> delta_of ~old_rel:(relation_of db h) newly);
+      push = (fun db h newly -> SMap.add h (merge_newly (relation_of db h) newly) db);
+      bind = (fun db h d -> SMap.add (Plan.delta_name h) d db);
+      size = Tuple.Map.cardinal;
+    }
 
-  let delta_size ds = List.fold_left (fun acc (_, d) -> acc + Tuple.Map.cardinal d) 0 ds
-
-  (* The semi-naive inner loop: repeatedly evaluate each rule's delta
-     variants with the current delta relations bound under their mangled
-     names, ⊕-merge the normalized derivations, and recompute the deltas,
-     until every delta drains.  Returns the saturated database together with
-     the {e cumulative} per-head delta — the union of the seed and every
-     round's changed tuples, later (merged) tags winning — which is what
-     lets an incremental caller propagate a stratum's total change to the
-     strata downstream. *)
-  let delta_loop config mon cache trace (s : Plan.stratum) (db : db)
-      (deltas : (string * relation) list) start_iter : db * (string * relation) list =
-    let merge_acc acc ds =
-      List.map
-        (fun (h, cum) ->
-          match List.assoc_opt h ds with
-          | None -> (h, cum)
-          | Some d -> (h, Tuple.Map.union (fun _ _cum t_new -> Some t_new) cum d))
-        acc
-    in
-    let rec loop db deltas acc iters =
-      if List.for_all (fun (_, d) -> Tuple.Map.is_empty d) deltas then begin
-        mon.m_iterations <- iters - 1;
-        (db, acc)
-      end
-      else begin
-        check_iteration config mon ~next_iter:iters;
-        let db_with_deltas =
-          List.fold_left (fun a (h, d) -> SMap.add (Plan.delta_name h) d a) db deltas
-        in
-        let updates =
-          List.map
-            (fun (r : Plan.rule) ->
-              let newly =
-                normalize (List.concat_map (eval config mon cache db_with_deltas) r.Plan.deltas)
-              in
-              charge_tuples config mon (Tuple.Map.cardinal newly);
-              (r.Plan.head, newly))
-            s.Plan.rules
-        in
-        let deltas' =
-          List.map
-            (fun (h, newly) -> (h, delta_of ~old_rel:(relation_of db h) newly))
-            updates
-        in
-        let db' =
-          List.fold_left
-            (fun a (h, newly) -> SMap.add h (merge_newly (relation_of db h) newly) a)
-            db updates
-        in
-        record_iter config trace
-          ?size:(match trace with Some _ -> Some (delta_size deltas') | None -> None)
-          ();
-        loop db' deltas' (merge_acc acc deltas') (iters + 1)
-      end
-    in
-    loop db deltas deltas start_iter
-
+  (** Evaluate stratum [sidx] from scratch on the row engine. *)
   let eval_stratum config mon (db : db) (sidx : int) (s : Plan.stratum) : db =
-    let heads = s.Plan.heads in
-    mon.m_stratum <- sidx;
-    mon.m_iterations <- 0;
-    (* Caches only pay off across fixpoint iterations (every plan node has a
-       unique id, so within one pass nothing is ever looked up twice).  A
-       non-recursive stratum runs exactly one pass: building the cache
-       tables there is pure overhead — measurably so on small aggregation
-       strata — so skip them. *)
-    let cache =
-      if config.cache_indices && s.Plan.recursive then Some (fresh_cache config) else None
-    in
-    let trace = new_trace config sidx in
-    let record_iter ?size () = record_iter config trace ?size () in
-    let step (db : db) : db =
-      List.fold_left
-        (fun acc (r : Plan.rule) ->
-          (* Each rule reads the database as of the start of the iteration
-             (db), not the partially updated one; heads are distinct within a
-             stratum so updates never collide. *)
-          SMap.add r.Plan.head (eval_rule config mon cache db r) acc)
-        db s.Plan.rules
-    in
-    let changed_count db db' =
-      List.fold_left
-        (fun acc h ->
-          Tuple.Map.cardinal (changed ~old_rel:(relation_of db h) (relation_of db' h)) + acc)
-        0 heads
-    in
-    if not s.Plan.recursive then begin
-      check_iteration config mon ~next_iter:1;
-      record_iter ();
-      step db
-    end
-    else if not config.semi_naive then begin
-      (* Naive lfp° exactly as Fig. 24: re-evaluate all rules until the
-         database saturates.  Kept as the reference implementation. *)
-      let rec iterate db iters =
-        check_iteration config mon ~next_iter:iters;
-        let db' = step db in
-        record_iter ?size:(match trace with Some _ -> Some (changed_count db db') | None -> None) ();
-        let saturated =
-          List.for_all
-            (fun h -> relation_saturated ~old_rel:(relation_of db h) (relation_of db' h))
-            heads
-        in
-        if saturated then db' else iterate db' (iters + 1)
-      in
-      iterate db 1
-    end
+    enter_stratum mon sidx;
+    stratum config mon (row_engine config mon (stratum_cache config s)) sidx s db
+
+  (** Continue stratum [sidx] from an already-materialized state: [db]'s
+      head relations must already ⊕-absorb every derivation that does not
+      involve the changed inputs.  One seed round evaluates [seed r] for
+      each rule [r] — delta variants over the changed input predicates
+      ({!Plan.delta_plans_from}) — with [inputs] (their changed tuples under
+      merged tags) bound; a recursive stratum then runs its semi-naive loop
+      from the seed round's deltas.  The seed round is not a fixpoint
+      iteration: it is neither counted nor capped.  Returns the saturated
+      database and the cumulative per-head delta, seed included, later
+      (merged) tags winning.  With an idempotent ⊕ whose saturation is
+      equality (unit/boolean/minmaxprob) the result is bit-identical to
+      re-running the stratum from scratch on the updated inputs — the
+      contract the incremental maintenance engine ([Incr]) is built on. *)
+  let continue_stratum config mon (db : db) (sidx : int) (s : Plan.stratum)
+      ~(seed : Plan.rule -> Plan.t list) ~(inputs : (string * relation) list) :
+      db * (string * relation) list =
+    enter_stratum mon sidx;
+    let eng = row_engine config mon (stratum_cache config s) in
+    let db1, deltas = round eng db (bind_all eng db inputs) seed s.Plan.rules in
+    if not s.Plan.recursive then (db1, deltas)
     else begin
-      (* Semi-naive: after a full first round, only derivations touching a
-         changed ("delta") tuple are re-evaluated. *)
-      check_iteration config mon ~next_iter:1;
-      let db1 = step db in
-      let deltas =
-        List.map (fun h -> (h, changed ~old_rel:(relation_of db h) (relation_of db1 h))) heads
+      let cumulative = ref deltas in
+      let seen ds =
+        cumulative :=
+          List.map
+            (fun (h, cum) ->
+              match List.assoc_opt h ds with
+              | None -> (h, cum)
+              | Some d -> (h, Tuple.Map.union (fun _ _cum t_new -> Some t_new) cum d))
+            !cumulative
       in
-      record_iter ?size:(match trace with Some _ -> Some (delta_size deltas) | None -> None) ();
-      fst (delta_loop config mon cache trace s db1 deltas 2)
+      let trace = new_trace config sidx in
+      let db' =
+        fixpoint config mon eng trace ~semi:true ~seen s.Plan.rules ~full:false db1 deltas
+      in
+      (db', !cumulative)
     end
 
-  (** Continue stratum [sidx]'s semi-naive fixed point from an
-      already-materialized state: [db] must contain head relations that
-      already ⊕-absorb every derivation not involving [deltas], and [deltas]
-      must carry the changed tuples under their merged tags (the
-      [changed]/[delta_of] convention).  Returns the saturated database and
-      the cumulative per-head delta, seed included.  Only meaningful for
-      recursive strata (non-recursive rules carry no delta variants).  With
-      an idempotent ⊕ whose saturation is equality (unit/boolean/minmaxprob)
-      the result is bit-identical to re-running the stratum from scratch on
-      the updated inputs — the contract the incremental maintenance engine
-      ([Incr]) is built on. *)
-  let continue_stratum config (mon : monitor) (db : db) (sidx : int) (s : Plan.stratum)
-      ~(deltas : (string * relation) list) : db * (string * relation) list =
-    mon.m_stratum <- sidx;
-    mon.m_iterations <- 0;
-    let cache = if config.cache_indices then Some (fresh_cache config) else None in
-    let trace = new_trace config sidx in
-    delta_loop config mon cache trace s db deltas 1
+  (* ---- columnar expression evaluation --------------------------------------- *)
 
-  (* ---- columnar execution (config.columnar) ------------------------------- *)
-
-  (* The vectorized twin of [eval]/[eval_stratum]: relations are {!B.crel}
-     sorted-run stacks, operators work batch-at-a-time over {!Column}
-     encodings, and every operator reproduces the tree-walker's emission
-     order, so normalization ⊕-folds duplicates in the identical sequence
-     and the result is bit-identical (fuzz-checked; see test/test_fuzz.ml).
-
-     Plan subtrees with [colable = false] (samplers, foreign joins) fall
-     back to the tree-walker over decoded views, memoized per predicate by
-     (crel identity, version) so an unchanged relation is decoded once per
-     fixpoint rather than once per iteration.  Child-evaluation order
-     mirrors [eval_node] exactly — right sides before left sides — so
-     fallback subtrees consume [config.rng] in the same sequence and
-     sampler draws are preserved. *)
+  (* The vectorized twin of [eval]: relations are {!B.crel} sorted-run
+     stacks, operators work batch-at-a-time over {!Column} encodings, and
+     every operator reproduces the tree-walker's emission order, so
+     normalization ⊕-folds duplicates in the identical sequence and the
+     result is bit-identical (fuzz-checked; see test/test_fuzz.ml).
+     Child-evaluation order mirrors [eval_node] exactly — right sides
+     before left sides — so samplers consume [config.rng] in the same
+     sequence; samplers and foreign joins run the tree-walker's own
+     [sample]/[foreign_join] over decoded rows. *)
 
   type cdb = B.crel SMap.t
-
-  type cruntime = {
-    cmemo : (string, B.crel * int * relation) Hashtbl.t;
-        (** decoded fallback views: pred ↦ (crel it decodes, version, view) *)
-  }
-
-  (** Per-stratum columnar caches, the twins of {!cache}. *)
-  type ccache = {
-    cc_rels : (int, B.batch) Hashtbl.t;
-    cc_joins : (int, B.key_index) Hashtbl.t;
-    cc_antis : (int, B.anti_index) Hashtbl.t;
-    cc_norms : (int, B.batch) Hashtbl.t;
-  }
-
-  let fresh_ccache config =
-    record_cache_table config;
-    {
-      cc_rels = Hashtbl.create 16;
-      cc_joins = Hashtbl.create 16;
-      cc_antis = Hashtbl.create 16;
-      cc_norms = Hashtbl.create 16;
-    }
 
   let crel_of (cdb : cdb) pred : B.crel =
     match SMap.find_opt pred cdb with Some c -> c | None -> B.crel_empty ()
 
-  let decode_db (rt : cruntime) (cdb : cdb) : db =
-    SMap.mapi
-      (fun pred cr ->
-        match Hashtbl.find_opt rt.cmemo pred with
-        | Some (cr', v', rel) when cr' == cr && v' = cr.B.version -> rel
-        | _ ->
-            let rel = B.to_relation cr in
-            Hashtbl.replace rt.cmemo pred (cr, cr.B.version, rel);
-            rel)
-      cdb
+  let rec ceval config mon cache (cdb : cdb) (p : Plan.t) : B.batch =
+    memo config cache rels p (fun cache ->
+        timed config mon p (fun (r : B.batch) -> r.B.n) (fun () ->
+            ceval_node config mon cache cdb p))
 
-  let rec ceval config mon rt (cache : ccache option) (cdb : cdb) (p : Plan.t) : B.batch =
-    match cache with
-    | Some c when p.Plan.invariant -> (
-        match Hashtbl.find_opt c.cc_rels p.Plan.pid with
-        | Some r ->
-            record_hit config p.Plan.pid;
-            r
-        | None ->
-            let r = ceval_inner config mon rt None cdb p in
-            Hashtbl.add c.cc_rels p.Plan.pid r;
-            r)
-    | _ -> ceval_inner config mon rt cache cdb p
+  and cnormalized_right config mon cache cdb (b : Plan.t) : B.batch =
+    memo config cache norms b (fun cache -> B.sort_normalize (ceval config mon cache cdb b))
 
-  and ceval_inner config mon rt cache cdb (p : Plan.t) : B.batch =
-    if not p.Plan.colable then
-      (* whole-subtree fallback: the tree-walker does its own node
-         accounting and profiling, so no [check_node] here *)
-      B.of_list (eval config mon None (decode_db rt cdb) p)
-    else ceval_timed config mon rt cache cdb p
+  and key_index config mon cache cdb rkeys (right : Plan.t) : B.key_index =
+    memo config cache joins right (fun cache ->
+        B.build_key_index rkeys (ceval config mon cache cdb right))
 
-  and ceval_timed config mon rt cache cdb (p : Plan.t) : B.batch =
-    check_node config mon;
-    match config.stats with
-    | None -> ceval_node config mon rt cache cdb p
-    | Some s ->
-        let t0 = Scallop_utils.Monotonic.now () in
-        let r = ceval_node config mon rt cache cdb p in
-        let st = Plan.node_stat s p.Plan.pid in
-        st.evals <- st.evals + 1;
-        st.tuples <- st.tuples + r.B.n;
-        st.seconds <- st.seconds +. (Scallop_utils.Monotonic.now () -. t0);
-        r
-
-  and cnormalized_right config mon rt cache cdb (b : Plan.t) : B.batch =
-    match cache with
-    | Some c when b.Plan.invariant -> (
-        match Hashtbl.find_opt c.cc_norms b.Plan.pid with
-        | Some r ->
-            record_hit config b.Plan.pid;
-            r
-        | None ->
-            let r = B.sort_normalize (ceval config mon rt None cdb b) in
-            Hashtbl.add c.cc_norms b.Plan.pid r;
-            r)
-    | _ -> B.sort_normalize (ceval config mon rt cache cdb b)
-
-  and ceval_node config mon rt cache (cdb : cdb) (p : Plan.t) : B.batch =
+  and ceval_node config mon cache (cdb : cdb) (p : Plan.t) : B.batch =
+    let ev = ceval config mon cache cdb in
     match p.Plan.desc with
     | Plan.Empty -> B.empty
     | Plan.Singleton -> Lazy.force B.singleton
     | Plan.Pred pr -> B.crel_force (crel_of cdb pr)
-    | Plan.Select (cond, e) -> B.select cond (ceval config mon rt cache cdb e)
+    | Plan.Select (cond, e) -> B.select cond (ev e)
     | Plan.Project (m, { Plan.desc = Plan.Join { lkeys; rkeys; left; right }; _ })
       when List.for_all (function Ram.Access _ -> true | _ -> false) m ->
         (* fused π∘⋈ for pure column selections: identical emission order and
            tags, but the gathers of dropped join columns are never done (the
            recursive-rule hot path is π[k…]( Δ ⋈ edb )) *)
-        let index =
-          match cache with
-          | Some c when right.Plan.invariant -> (
-              match Hashtbl.find_opt c.cc_joins right.Plan.pid with
-              | Some ix ->
-                  record_hit config right.Plan.pid;
-                  ix
-              | None ->
-                  let ix = B.build_key_index rkeys (ceval config mon rt None cdb right) in
-                  Hashtbl.add c.cc_joins right.Plan.pid ix;
-                  ix)
-          | _ -> B.build_key_index rkeys (ceval config mon rt cache cdb right)
-        in
-        let lb = ceval config mon rt cache cdb left in
+        let index = key_index config mon cache cdb rkeys right in
+        let lb = ev left in
         let width = Array.length lb.B.cols + Array.length index.B.ki_src.B.cols in
         let keep = List.map (function Ram.Access i -> i | _ -> assert false) m in
         if lb.B.n = 0 || List.for_all (fun i -> i >= 0 && i < width) keep then
           B.join ~keep:(Array.of_list keep) ~lkeys lb index
         else B.project m (B.join ~lkeys lb index)
-    | Plan.Project (m, e) -> B.project m (ceval config mon rt cache cdb e)
+    | Plan.Project (m, e) -> B.project m (ev e)
     | Plan.Union (a, b) ->
         (* right child first, like the tree-walker's [eval a @ eval b] *)
-        let rb = ceval config mon rt cache cdb b in
-        let ra = ceval config mon rt cache cdb a in
-        B.union ra rb
+        let rb = ev b in
+        B.union (ev a) rb
     | Plan.Product (a, b) ->
-        let rb = ceval config mon rt cache cdb b in
-        let ra = ceval config mon rt cache cdb a in
-        B.product ra rb
+        let rb = ev b in
+        B.product (ev a) rb
     | Plan.Diff (a, b) ->
-        let rb = cnormalized_right config mon rt cache cdb b in
-        let ra = ceval config mon rt cache cdb a in
-        B.diff ra rb
+        let rb = cnormalized_right config mon cache cdb b in
+        B.diff (ev a) rb
     | Plan.Intersect (a, b) ->
-        let rb = cnormalized_right config mon rt cache cdb b in
-        let ra = ceval config mon rt cache cdb a in
-        B.intersect ra rb
+        let rb = cnormalized_right config mon cache cdb b in
+        B.intersect (ev a) rb
     | Plan.Join { lkeys; rkeys; left; right } ->
-        let index =
-          match cache with
-          | Some c when right.Plan.invariant -> (
-              match Hashtbl.find_opt c.cc_joins right.Plan.pid with
-              | Some ix ->
-                  record_hit config right.Plan.pid;
-                  ix
-              | None ->
-                  let ix = B.build_key_index rkeys (ceval config mon rt None cdb right) in
-                  Hashtbl.add c.cc_joins right.Plan.pid ix;
-                  ix)
-          | _ -> B.build_key_index rkeys (ceval config mon rt cache cdb right)
-        in
-        B.join ~lkeys (ceval config mon rt cache cdb left) index
+        let index = key_index config mon cache cdb rkeys right in
+        B.join ~lkeys (ev left) index
     | Plan.Antijoin { lkeys; rkeys; left; right } ->
         let index =
-          match cache with
-          | Some c when right.Plan.invariant -> (
-              match Hashtbl.find_opt c.cc_antis right.Plan.pid with
-              | Some ix ->
-                  record_hit config right.Plan.pid;
-                  ix
-              | None ->
-                  let ix = B.build_anti_index rkeys (ceval config mon rt None cdb right) in
-                  Hashtbl.add c.cc_antis right.Plan.pid ix;
-                  ix)
-          | _ -> B.build_anti_index rkeys (ceval config mon rt cache cdb right)
+          memo config cache antis right (fun cache ->
+              B.build_anti_index rkeys (ceval config mon cache cdb right))
         in
-        B.antijoin ~lkeys (ceval config mon rt cache cdb left) index
-    | Plan.One_overwrite e ->
-        B.retag P.one (B.sort_normalize (ceval config mon rt cache cdb e))
-    | Plan.Zero_overwrite e ->
-        B.retag P.zero (B.sort_normalize (ceval config mon rt cache cdb e))
+        B.antijoin ~lkeys (ev left) index
+    | Plan.One_overwrite e -> B.retag P.one (B.sort_normalize (ev e))
+    | Plan.Zero_overwrite e -> B.retag P.zero (B.sort_normalize (ev e))
     | Plan.Aggregate { agg; key_len; arg_len; group; body } ->
-        let items = B.sort_normalize (ceval config mon rt cache cdb body) in
+        let items = B.sort_normalize (ev body) in
         let group =
           match group with
           | Plan.No_group -> `No_group
           | Plan.Implicit -> `Implicit
-          | Plan.Domain dom ->
-              `Domain (B.sort_normalize (ceval config mon rt cache cdb dom))
+          | Plan.Domain dom -> `Domain (B.sort_normalize (ev dom))
         in
         B.aggregate agg ~key_len ~arg_len ~group items
-    | Plan.Sample _ | Plan.Foreign_join _ ->
-        (* colable = false by construction; handled by the fallback *)
-        assert false
+    | Plan.Sample { sampler; key_len; group; body } ->
+        let items = B.to_list (B.sort_normalize (ev body)) in
+        B.of_list (sample config sampler ~key_len group items)
+    | Plan.Foreign_join { name; args; free_cols; left } ->
+        let call = foreign_join name args free_cols in
+        B.of_list (call (B.to_list (ev left)))
 
-  (* The columnar lfp°, mirroring [eval_stratum] structure for structure.
-     Head crels are mutable, so each round computes {e every} rule's update
-     and delta against the round-start state before pushing any of them. *)
-  let ceval_stratum config mon rt (cdb : cdb) (sidx : int) (s : Plan.stratum) : cdb =
-    mon.m_stratum <- sidx;
-    mon.m_iterations <- 0;
-    let cache =
-      if config.cache_indices && s.Plan.recursive then Some (fresh_ccache config) else None
-    in
-    let trace = new_trace config sidx in
-    let record_iter ?size () = record_iter config trace ?size () in
-    let rule_updates cdb plans_of =
-      List.map
-        (fun (r : Plan.rule) ->
-          let evaled = B.concat (List.map (ceval config mon rt cache cdb) (plans_of r)) in
-          let newly = B.sort_normalize evaled in
-          charge_tuples config mon newly.B.n;
-          (r.Plan.head, newly))
-        s.Plan.rules
-    in
-    let deltas_of cdb updates =
-      List.map (fun (h, newly) -> (h, B.delta_of_run ~old:(crel_of cdb h) newly)) updates
-    in
-    let push cdb updates =
-      List.fold_left
-        (fun a (h, newly) ->
-          let cr = crel_of a h in
-          B.crel_push cr newly;
-          SMap.add h cr a)
-        cdb updates
-    in
-    let dsize ds = List.fold_left (fun acc (_, d) -> acc + d.B.n) 0 ds in
-    if not s.Plan.recursive then begin
-      check_iteration config mon ~next_iter:1;
-      record_iter ();
-      push cdb (rule_updates cdb (fun r -> [ r.Plan.body ]))
-    end
-    else begin
-      (* delta-drained loop shared by naive and semi-naive: [delta_of_run]
-         empty for every head ⟺ [relation_saturated] (saturation is
-         reflexive), so both modes share the same termination test *)
-      let rec loop cdb deltas iters =
-        if List.for_all (fun (_, d) -> d.B.n = 0) deltas then begin
-          mon.m_iterations <- iters - 1;
-          cdb
-        end
-        else begin
-          check_iteration config mon ~next_iter:iters;
-          let updates =
-            if config.semi_naive then begin
-              let cdb_with_deltas =
-                List.fold_left
-                  (fun a (h, d) -> SMap.add (Plan.delta_name h) (B.crel_of_run d) a)
-                  cdb deltas
-              in
-              rule_updates cdb_with_deltas (fun r -> r.Plan.deltas)
-            end
-            else rule_updates cdb (fun r -> [ r.Plan.body ])
+
+  let col_engine config mon cache : (cdb, B.batch) engine =
+    {
+      update =
+        (fun cdb plans ->
+          let newly =
+            B.sort_normalize (B.concat (List.map (ceval config mon cache cdb) plans))
           in
-          let deltas' = deltas_of cdb updates in
-          let cdb' = push cdb updates in
-          record_iter
-            ?size:(match trace with Some _ -> Some (dsize deltas') | None -> None)
-            ();
-          loop cdb' deltas' (iters + 1)
-        end
-      in
-      (* full first round *)
-      check_iteration config mon ~next_iter:1;
-      let updates = rule_updates cdb (fun r -> [ r.Plan.body ]) in
-      let deltas = deltas_of cdb updates in
-      let cdb1 = push cdb updates in
-      record_iter ?size:(match trace with Some _ -> Some (dsize deltas) | None -> None) ();
-      loop cdb1 deltas 2
-    end
+          charge_tuples config mon newly.B.n;
+          newly);
+      delta = (fun cdb h newly -> B.delta_of_run ~old:(crel_of cdb h) newly);
+      push =
+        (fun cdb h newly ->
+          let cr = crel_of cdb h in
+          B.crel_push cr newly;
+          SMap.add h cr cdb);
+      bind = (fun cdb h d -> SMap.add (Plan.delta_name h) (B.crel_of_run d) cdb);
+      size = (fun b -> b.B.n);
+    }
+
+  let ceval_stratum config mon (cdb : cdb) (sidx : int) (s : Plan.stratum) : cdb =
+    enter_stratum mon sidx;
+    stratum config mon (col_engine config mon (stratum_cache config s)) sidx s cdb
 
   (* ---- programs ----------------------------------------------------------- *)
 
+  (** Evaluate every stratum on the row engine; [after i db] sees the
+      database after stratum [i]. *)
+  let eval_strata ?after config mon (db : db) (strata : Plan.stratum list) : db =
+    fold_strata ?after (eval_stratum config mon) db strata
+
+  let columnar_run config (db : db) (p : Plan.program) : cdb =
+    let mon = start_monitor config in
+    fold_strata (ceval_stratum config mon) (SMap.map B.crel_of_relation db) p.Plan.strata
+
   let eval_plan_program config (db : db) (p : Plan.program) : db =
-    let mon = make_monitor config.budget in
-    if mon.watched then check_wall config mon;
-    if config.columnar then begin
-      let rt = { cmemo = Hashtbl.create 8 } in
-      let cdb = SMap.map B.crel_of_relation db in
-      let cdb =
-        fst
-          (List.fold_left
-             (fun (cdb, i) s -> (ceval_stratum config mon rt cdb i s, i + 1))
-             (cdb, 0) p.Plan.strata)
-      in
-      SMap.map B.to_relation cdb
-    end
-    else
-      fst
-        (List.fold_left
-           (fun (db, i) s -> (eval_stratum config mon db i s, i + 1))
-           (db, 0) p.Plan.strata)
+    if config.columnar then SMap.map B.to_relation (columnar_run config db p)
+    else eval_strata config (start_monitor config) db p.Plan.strata
 
   (** Evaluate a raw RAM program by planning it on the fly (compiled sessions
       plan once at compile time and use {!eval_plan_program} directly). *)
@@ -1041,16 +880,7 @@ module Make (P : Provenance.S) = struct
   let eval_plan_program_outputs config (db : db) (p : Plan.program) ~(out : string list) :
       (string * (Tuple.t * Provenance.Output.t) list) list =
     if config.columnar then begin
-      let mon = make_monitor config.budget in
-      if mon.watched then check_wall config mon;
-      let rt = { cmemo = Hashtbl.create 8 } in
-      let cdb = SMap.map B.crel_of_relation db in
-      let cdb =
-        fst
-          (List.fold_left
-             (fun (cdb, i) s -> (ceval_stratum config mon rt cdb i s, i + 1))
-             (cdb, 0) p.Plan.strata)
-      in
+      let cdb = columnar_run config db p in
       List.map (fun pred -> (pred, B.to_outputs (B.crel_force (crel_of cdb pred)))) out
     end
     else
@@ -1062,13 +892,10 @@ module Make (P : Provenance.S) = struct
   (** Evaluate one plan tree over [db] with the tree-walker, uncached.
       Used as the oracle in test/test_columnar.ml. *)
   let eval_plan config (db : db) (p : Plan.t) : (Tuple.t * P.t) list =
-    let mon = make_monitor config.budget in
-    eval config mon None db p
+    eval config (make_monitor config.budget) None db p
 
   (** Evaluate one plan tree over [db] with the columnar executor, uncached;
       must be bit-identical to {!eval_plan} per tuple and tag. *)
   let eval_plan_columnar config (db : db) (p : Plan.t) : (Tuple.t * P.t) list =
-    let mon = make_monitor config.budget in
-    let rt = { cmemo = Hashtbl.create 4 } in
-    B.to_list (ceval config mon rt None (SMap.map B.crel_of_relation db) p)
+    B.to_list (ceval config (make_monitor config.budget) None (SMap.map B.crel_of_relation db) p)
 end

@@ -489,6 +489,19 @@ let config ?state_dir ?(snapshot_every = 64) ?(keep_snapshots = 3) ?(wal_sync = 
 
 type live = { incr : Incr.t; mutable wal : Wal.t option  (** opened lazily *) }
 
+(* Close a live session's writer.  Under [~strict] the close record's
+   durability rides on the final fsync, so its failure is the request's
+   typed error; elsewhere a durable snapshot or the session's removal
+   already supersedes the segment, and the close is best-effort (a failed
+   fsync has poisoned the commit group for every later op anyway). *)
+let release_wal ?(strict = false) (l : live) =
+  match l.wal with
+  | None -> ()
+  | Some w -> (
+      l.wal <- None;
+      if strict then io_guard (fun () -> Wal.close w)
+      else try Wal.close w with Unix.Unix_error _ -> ())
+
 type state =
   | Live of live
   | Spilled  (** durable on disk; rehydrated on next touch *)
@@ -831,11 +844,7 @@ let compact_locked mgr entry =
              chain = entry.seg_chain;
              records = entry.seg_records;
            });
-      (match l.wal with
-      | Some w ->
-          Wal.close w;
-          l.wal <- None
-      | None -> ());
+      release_wal l;
       entry.active_seg <- max (entry.active_seg + 1) (gen + 1);
       entry.seg_chain <- 0L;
       entry.seg_records <- 0;
@@ -860,11 +869,7 @@ let spill_locked mgr entry =
   match entry.e_state with
   | Live l when entry.pins = 0 && entry.dir <> None ->
       if entry.ops_since_snap > 0 then compact_locked mgr entry;
-      (match l.wal with
-      | Some w ->
-          Wal.close w;
-          l.wal <- None
-      | None -> ());
+      release_wal l;
       entry.last_stats <- Incr.stats l.incr;
       entry.e_state <- Spilled;
       mgr.dstats.evictions <- mgr.dstats.evictions + 1
@@ -1274,11 +1279,7 @@ let close mgr ~sid : Incr.session_stats =
                 entry.last_stats <- Incr.stats l.incr;
                 ignore (append_op mgr entry l (Op_close { lsn = entry.next_lsn }));
                 entry.next_lsn <- entry.next_lsn + 1;
-                (match l.wal with
-                | Some w ->
-                    Wal.close w;
-                    l.wal <- None
-                | None -> ());
+                release_wal ~strict:true l;
                 Incr.close l.incr
             | Spilled -> (
                 (* no need to rehydrate the engine just to retire it, but the
@@ -1366,9 +1367,7 @@ let shutdown mgr =
       Hashtbl.iter
         (fun _ e ->
           match e.e_state with
-          | Live ({ wal = Some w; _ } as l) ->
-              Wal.close w;
-              l.wal <- None
+          | Live l -> release_wal l
           | _ -> ())
         mgr.entries)
 
@@ -1398,11 +1397,7 @@ let diverged mgr entry ~segment fmt =
       let err =
         Exec_error.Replication_diverged { session = entry.sid; segment; reason }
       in
-      (match entry.e_state with
-      | Live ({ wal = Some w; _ } as l) ->
-          Wal.close w;
-          l.wal <- None
-      | _ -> ());
+      (match entry.e_state with Live l -> release_wal l | _ -> ());
       entry.e_state <- Failed err;
       mgr.dstats.divergences <- mgr.dstats.divergences + 1;
       raise (Session.Error err))
@@ -1552,11 +1547,7 @@ let apply_remote mgr ~sid ~seg ~lsn ~chain ~payload : unit =
               (match entry.e_state with
               | Live l2 ->
                   entry.last_stats <- Incr.stats l2.incr;
-                  (match l2.wal with
-                  | Some w ->
-                      Wal.close w;
-                      l2.wal <- None
-                  | None -> ());
+                  release_wal ~strict:true l2;
                   Incr.close l2.incr
               | _ -> ());
               Option.iter rm_rf entry.dir;
@@ -1629,11 +1620,7 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
                 payload);
           mgr.dstats.snapshots <- mgr.dstats.snapshots + 1;
           if gen + 1 > e.active_seg then begin
-            (match e.e_state with
-            | Live ({ wal = Some w; _ } as l) ->
-                Wal.close w;
-                l.wal <- None
-            | _ -> ());
+            (match e.e_state with Live l -> release_wal l | _ -> ());
             e.active_seg <- gen + 1;
             e.seg_chain <- 0L;
             e.seg_records <- 0
@@ -1650,11 +1637,7 @@ let install_snapshot mgr ~sid ~gen ~payload : install =
           Adopted
       | _ -> (
           (* unknown, quarantined, or behind: full transfer *)
-          (match existing with
-          | Some { e_state = Live ({ wal = Some w; _ } as l); _ } ->
-              Wal.close w;
-              l.wal <- None
-          | _ -> ());
+          (match existing with Some { e_state = Live l; _ } -> release_wal l | _ -> ());
           let dir = session_dir state_dir sid in
           io_guard (fun () ->
               rm_rf dir;

@@ -17,8 +17,9 @@
       variable ids (unit / boolean / minmaxprob, {!exact_incremental}).
       Additions and tag {e increases} extend the old fixed point: seed
       deltas are derived through {!Plan.delta_plans_from} variants of each
-      rule body (one per changed-predicate leaf), then recursive strata
-      continue their semi-naive loop via {!Interp.Make.continue_stratum}.
+      rule body (one per changed-predicate leaf) in a seed round of
+      {!Interp.Make.continue_stratum}, which then runs the shared stratum
+      driver's semi-naive loop on recursive strata.
       Retractions and tag decreases use DRed-style delete-rederive at
       stratum granularity: the affected stratum re-evaluates from its
       (updated) inputs, and the head-level diff is re-classified so
@@ -311,18 +312,11 @@ module Exact_engine (P : Provenance.S) = struct
       else Some (Additive delta)
 
   let full_eval st (db : I.db) config : I.db array =
-    let mon = Interp.make_monitor config.Interp.budget in
-    if mon.Interp.watched then Interp.check_wall config mon;
     let strata = st.compiled.Session.plan.Plan.strata in
     let snaps = Array.make (List.length strata) db in
-    let _ =
-      List.fold_left
-        (fun (db, i) s ->
-          let db = I.eval_stratum config mon db i s in
-          snaps.(i) <- db;
-          (db, i + 1))
-        (db, 0) strata
-    in
+    ignore
+      (I.eval_strata ~after:(fun i db -> snaps.(i) <- db) config (Interp.start_monitor config)
+         db strata);
     st.stats.full_runs <- st.stats.full_runs + 1;
     snaps
 
@@ -338,41 +332,14 @@ module Exact_engine (P : Provenance.S) = struct
   let continue_stratum_delta st config mon i (s : Plan.stratum)
       (input_deltas : (string * I.relation) list) (db_base : I.db) =
     let changed_names = List.map fst input_deltas in
-    let db_eval =
-      List.fold_left
-        (fun db (p, d) -> I.SMap.add (Plan.delta_name p) d db)
-        db_base input_deltas
+    let seed (r : Plan.rule) =
+      let variants, next =
+        Plan.delta_plans_from ~start:st.next_pid ~heads:changed_names r.Plan.body
+      in
+      st.next_pid <- next;
+      variants
     in
-    let cache = if config.Interp.cache_indices then Some (I.fresh_cache config) else None in
-    mon.Interp.m_stratum <- i;
-    mon.Interp.m_iterations <- 0;
-    let seed_updates =
-      List.map
-        (fun (r : Plan.rule) ->
-          let variants, next =
-            Plan.delta_plans_from ~start:st.next_pid ~heads:changed_names r.Plan.body
-          in
-          st.next_pid <- next;
-          let newly =
-            I.normalize (List.concat_map (I.eval config mon cache db_eval) variants)
-          in
-          Interp.charge_tuples config mon (Tuple.Map.cardinal newly);
-          (r.Plan.head, newly))
-        s.Plan.rules
-    in
-    let seed_deltas =
-      List.map
-        (fun (h, newly) -> (h, I.delta_of ~old_rel:(I.relation_of db_base h) newly))
-        seed_updates
-    in
-    let db1 =
-      List.fold_left
-        (fun db (h, newly) ->
-          I.SMap.add h (I.merge_newly (I.relation_of db_base h) newly) db)
-        db_base seed_updates
-    in
-    if s.Plan.recursive then I.continue_stratum config mon db1 i s ~deltas:seed_deltas
-    else (db1, seed_deltas)
+    I.continue_stratum config mon db_base i s ~seed ~inputs:input_deltas
 
   (* One maintenance pass: returns (snapshots, edb) for the updated state
      without committing anything — the caller assigns on success, so a
@@ -381,8 +348,7 @@ module Exact_engine (P : Provenance.S) = struct
     let edb', cmap = apply_changes st ~changes ~overlay in
     if SMap.is_empty cmap then (st.snaps, st.edb)
     else begin
-      let mon = Interp.make_monitor config.Interp.budget in
-      if mon.Interp.watched then Interp.check_wall config mon;
+      let mon = Interp.start_monitor config in
       let strata = Array.of_list st.compiled.Session.plan.Plan.strata in
       let n = Array.length strata in
       let snaps' = Array.make n edb' in

@@ -207,7 +207,13 @@ end
     grab.  Appends that landed while the leader was flushing get the next
     batch.  An optional [window] makes the leader sleep briefly before
     grabbing, letting stragglers pile into the same flush — higher
-    amortization at the cost of bounded added latency. *)
+    amortization at the cost of bounded added latency.
+
+    A failed fsync is never retried (the kernel may already have dropped
+    the dirty pages, so a retry that succeeds proves nothing): the
+    watermark stays where it was, the group is {e poisoned}, and the
+    leader, every waiter and every later {!wait} or {!forget} raises the
+    original [Unix_error]. *)
 module Group = struct
   type t = {
     m : Mutex.t;
@@ -217,6 +223,8 @@ module Group = struct
     mutable durable : int;  (** tickets < durable are on stable storage *)
     mutable leader : bool;  (** a leader is currently flushing *)
     mutable dirty : Unix.file_descr list;
+    mutable flushing : Unix.file_descr list;  (** descriptors the leader holds *)
+    mutable failed : exn option;  (** the fsync error that poisoned the group *)
     mutable syncs : int;  (** fsync calls issued *)
     mutable appends : int;  (** tickets issued *)
   }
@@ -230,6 +238,8 @@ module Group = struct
       durable = 0;
       leader = false;
       dirty = [];
+      flushing = [];
+      failed = None;
       syncs = 0;
       appends = 0;
     }
@@ -246,65 +256,96 @@ module Group = struct
     Mutex.unlock t.m;
     ticket
 
+  (* Raise the poisoning error, releasing the lock first. *)
+  let raise_failed_locked t =
+    match t.failed with
+    | Some e ->
+        Mutex.unlock t.m;
+        raise e
+    | None -> ()
+
+  (* fsync one descriptor outside the lock, counting it; a failure poisons
+     the group before it is raised. *)
+  let fsync_counted t fd =
+    match Unix.fsync fd with
+    | () ->
+        Mutex.lock t.m;
+        t.syncs <- t.syncs + 1;
+        Mutex.unlock t.m
+    | exception (Unix.Unix_error _ as e) ->
+        Mutex.lock t.m;
+        if t.failed = None then t.failed <- Some e;
+        Mutex.unlock t.m;
+        raise e
+
   (** Block until [ticket]'s record is on stable storage, flushing as
-      leader if nobody else is. *)
+      leader if nobody else is.  Raises the fsync error if the group is
+      poisoned and the ticket was not durable before the failure. *)
   let rec wait t ticket : unit =
     Mutex.lock t.m;
     if ticket < t.durable then Mutex.unlock t.m
-    else if t.leader then begin
-      (* someone is flushing: wait for their broadcast, then re-check *)
-      while t.leader && ticket >= t.durable do
-        Condition.wait t.flushed t.m
-      done;
-      Mutex.unlock t.m;
-      wait t ticket
-    end
     else begin
-      t.leader <- true;
-      Mutex.unlock t.m;
-      if t.window > 0. then Unix.sleepf t.window;
-      Mutex.lock t.m;
-      let upto = t.next in
-      let fds = t.dirty in
-      t.dirty <- [];
-      Mutex.unlock t.m;
-      List.iter
-        (fun fd ->
-          try
-            Unix.fsync fd;
-            Mutex.lock t.m;
-            t.syncs <- t.syncs + 1;
-            Mutex.unlock t.m
-          with Unix.Unix_error _ -> ())
-        fds;
-      Mutex.lock t.m;
-      t.durable <- max t.durable upto;
-      t.leader <- false;
-      Condition.broadcast t.flushed;
-      Mutex.unlock t.m;
-      if ticket >= t.durable then wait t ticket
+      raise_failed_locked t;
+      if t.leader then begin
+        (* someone is flushing: wait for their broadcast, then re-check *)
+        while t.leader && ticket >= t.durable do
+          Condition.wait t.flushed t.m
+        done;
+        Mutex.unlock t.m;
+        wait t ticket
+      end
+      else begin
+        t.leader <- true;
+        Mutex.unlock t.m;
+        if t.window > 0. then Unix.sleepf t.window;
+        Mutex.lock t.m;
+        let upto = t.next in
+        let fds = t.dirty in
+        t.dirty <- [];
+        t.flushing <- fds;
+        Mutex.unlock t.m;
+        let synced =
+          match List.iter (fsync_counted t) fds with
+          | () -> true
+          | exception Unix.Unix_error _ -> false
+        in
+        Mutex.lock t.m;
+        if synced then t.durable <- max t.durable upto;
+        t.leader <- false;
+        t.flushing <- [];
+        Condition.broadcast t.flushed;
+        Mutex.unlock t.m;
+        wait t ticket
+      end
     end
 
   (** Flush [fd] now and drop it from the dirty set: a writer about to
       close its descriptor must not leave it for a later leader to fsync
-      (fsync on a closed fd is EBADF). *)
+      (fsync on a closed fd is EBADF), so this also waits out an in-flight
+      flush that holds [fd].  Raises if the group is poisoned. *)
   let forget t fd : unit =
     Mutex.lock t.m;
     let was_dirty = List.memq fd t.dirty in
     t.dirty <- List.filter (fun d -> not (d == fd)) t.dirty;
+    while t.leader && List.memq fd t.flushing do
+      Condition.wait t.flushed t.m
+    done;
+    raise_failed_locked t;
     Mutex.unlock t.m;
-    if was_dirty then begin
-      (try Unix.fsync fd with Unix.Unix_error _ -> ());
-      Mutex.lock t.m;
-      t.syncs <- t.syncs + 1;
-      Mutex.unlock t.m
-    end
+    if was_dirty then fsync_counted t fd
 
   let stats t : int * int =
     Mutex.lock t.m;
     let r = (t.syncs, t.appends) in
     Mutex.unlock t.m;
     r
+
+  (** Tickets below this are on stable storage. *)
+  let durable t : int =
+    Mutex.lock t.m;
+    let d = t.durable in
+    Mutex.unlock t.m;
+    d
 end
 
 (* ---- appending -------------------------------------------------------------- *)
@@ -408,14 +449,17 @@ let append (t : t) (payload : string) : unit =
 (** Force an fsync now regardless of the writer's sync policy — used for
     records whose visibility must not wait for the page cache (the
     follower's fencing ack). *)
-let sync_now (t : t) : unit =
-  if not t.closed then try Unix.fsync t.fd with Unix.Unix_error _ -> ()
+let sync_now (t : t) : unit = if not t.closed then Unix.fsync t.fd
 
+(** Flush and close the writer.  The descriptor is always closed; a failed
+    final fsync is then raised. *)
 let close (t : t) : unit =
   if not t.closed then begin
     t.closed <- true;
-    (match t.group with
-    | Some g -> Group.forget g t.fd
-    | None -> ( try if t.sync then Unix.fsync t.fd with Unix.Unix_error _ -> ()));
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+    Fun.protect
+      ~finally:(fun () -> try Unix.close t.fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        match t.group with
+        | Some g -> Group.forget g t.fd
+        | None -> if t.sync then Unix.fsync t.fd)
   end

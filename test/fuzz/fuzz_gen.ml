@@ -7,7 +7,8 @@
     lower levels only — so every generated program compiles, stratifies and
     terminates under saturating provenances.  Samplers are deliberately
     never generated: they consume RNG state, which would make the
-    naive/semi-naive comparison vacuous.  Recursion can likewise be
+    naive/semi-naive comparison vacuous (test/test_engines.ml covers
+    samplers and foreign predicates on fixed programs instead).  Recursion can likewise be
     disabled ([~recursion:false]): under {e approximate} provenances such
     as top-k proofs, the truncated proof sets reached at a recursive
     fixpoint legitimately depend on derivation order (naive and semi-naive

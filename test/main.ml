@@ -24,6 +24,7 @@ let () =
       ("parallel", Test_parallel.suite);
       ("errors", Test_errors.suite);
       ("fuzz", Test_fuzz.suite);
+      ("engines", Test_engines.suite);
       ("serialize", Test_serialize.suite);
       ("resilience", Test_resilience.suite);
       ("service", Test_service.suite);

@@ -136,7 +136,18 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
       ("count domain", agg Count 1 (Domain (Project ([ Access 0 ], b))) a);
       ("exists no-group", agg Exists 0 No_group (Select (Binop (Foreign.Lt, Access 0, Access 1), a)));
       ("nested join-select", Select (Binop (Foreign.Leq, Access 0, Access 3),
-                                     Join { lkeys = [ 1 ]; rkeys = [ 0 ]; left = a; right = Union (a, b) }))
+                                     Join { lkeys = [ 1 ]; rkeys = [ 0 ]; left = a; right = Union (a, b) }));
+      ("foreign succ", Foreign_join { name = "succ"; args = [ F_col 1; F_free ]; left = a });
+      ( "foreign range over a join",
+        Foreign_join
+          { name = "range"; args = [ F_col 0; F_col 3; F_free ];
+            left = Join { lkeys = [ 1 ]; rkeys = [ 0 ]; left = a; right = b } } );
+      ("top<1> implicit", Sample { sampler = Top_k 1; key_len = 1; group = Implicit; body = a });
+      ("uniform<3> no-group", Sample { sampler = Uniform 3; key_len = 0; group = No_group;
+                                       body = Union (a, b) });
+      ( "categorical<1> domain",
+        Sample { sampler = Categorical 1; key_len = 1;
+                 group = Domain (Project ([ Access 0 ], b)); body = a } );
     ]
     @
     if rich_aggs then
@@ -154,11 +165,11 @@ let tests_for (prov_name : string) (spec : Registry.spec) ~(rich_aggs : bool) :
       (fun (la, lb) ->
         let db = db_of [ ("a", la); ("b", lb) ] in
         let plan = Plan.of_expr e in
-        let config = Interp.default_config () in
-        let run f = try Ok (f ()) with Exec_error.Error err -> Error err in
-        match
-          ( run (fun () -> I.eval_plan config db plan),
-            run (fun () -> I.eval_plan_columnar config db plan) )
+        (* each engine draws from its own seed-0 RNG *)
+        let run f =
+          try Ok (f (Interp.default_config ()) db plan) with Exec_error.Error err -> Error err
+        in
+        match (run I.eval_plan, run I.eval_plan_columnar)
         with
         | Ok reference, Ok columnar -> items_equal reference columnar
         | Error _, Error _ -> true (* both reject (e.g. unsupported negation) *)

@@ -432,6 +432,86 @@ let test_group_commit_concurrent_writers () =
     writers;
   rm_rf dir
 
+(* A failed group fsync is never acknowledged: the waiter gets the error,
+   the durable watermark stays put, and the group stays poisoned — later
+   waits and forgets raise too, and the fsync is never retried. *)
+let test_group_commit_failed_fsync () =
+  let dir = scratch_dir () in
+  let open_fd name =
+    Unix.openfile (Filename.concat dir name) [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+  in
+  let raises f = match f () with () -> false | exception Unix.Unix_error _ -> true in
+  let g = Wal.Group.create () in
+  let fd = open_fd "bad.log" in
+  let t = Wal.Group.register g fd in
+  Unix.close fd;
+  Alcotest.(check bool) "wait raises the fsync error" true (raises (fun () -> Wal.Group.wait g t));
+  Alcotest.(check int) "durable watermark did not advance" 0 (Wal.Group.durable g);
+  Alcotest.(check bool) "a second wait raises too" true (raises (fun () -> Wal.Group.wait g t));
+  let good = open_fd "good.log" in
+  let t2 = Wal.Group.register g good in
+  Alcotest.(check bool) "poisoned: a later ticket is refused" true
+    (raises (fun () -> Wal.Group.wait g t2));
+  Alcotest.(check bool) "poisoned: forget raises" true (raises (fun () -> Wal.Group.forget g good));
+  Alcotest.(check int) "still nothing durable" 0 (Wal.Group.durable g);
+  let syncs, _ = Wal.Group.stats g in
+  Alcotest.(check int) "no fsync was retried or counted" 0 syncs;
+  Unix.close good;
+  rm_rf dir
+
+(* Writers closing while another domain leads flushes: [forget] must wait
+   out a flush that holds its descriptor, or the leader would fsync a
+   closed fd (EBADF) and poison the group for everyone. *)
+let test_group_commit_close_during_flush () =
+  let dir = scratch_dir () in
+  let path name = Filename.concat dir name in
+  let g = Wal.Group.create () in
+  (* the appender's flushes each hold several descriptors, widening the
+     window in which a closing writer's fd is in flight *)
+  let steady =
+    Array.init 4 (fun i -> Wal.open_append ~group:g ~path:(path (Printf.sprintf "s%d.log" i)) ())
+  in
+  let stop = Atomic.make false in
+  let appender =
+    Domain.spawn (fun () ->
+        let n = ref 0 in
+        while not (Atomic.get stop) do
+          let tickets = Array.map (fun w -> Wal.append_ticket w (Printf.sprintf "s%d" !n)) steady in
+          Array.iter (Option.iter (Wal.Group.wait g)) tickets;
+          incr n
+        done;
+        !n)
+  in
+  let closed = 120 in
+  let open_c i = Wal.open_append ~group:g ~path:(path (Printf.sprintf "c%d.log" i)) () in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () ->
+      (* the next writer opens before the previous closes, so a closed fd
+         number is not immediately reused *)
+      let prev = ref (open_c 1) in
+      ignore (Wal.append_ticket !prev "c1");
+      for i = 2 to closed + 1 do
+        let w = open_c i in
+        ignore (Wal.append_ticket w (Printf.sprintf "c%d" i));
+        (* registered but never waited: close hands the flush to [forget] *)
+        Wal.close !prev;
+        prev := w
+      done;
+      Wal.close !prev);
+  let n = Domain.join appender in
+  Array.iter Wal.close steady;
+  Array.iteri
+    (fun i _ ->
+      let records, _ = Wal.read ~path:(path (Printf.sprintf "s%d.log" i)) in
+      Alcotest.(check int) "steady records" n (List.length records))
+    steady;
+  for i = 1 to closed + 1 do
+    let records, _ = Wal.read ~path:(path (Printf.sprintf "c%d.log" i)) in
+    Alcotest.(check (list string)) "closed writer's record" [ Printf.sprintf "c%d" i ] records
+  done;
+  rm_rf dir
+
 (* Group commit through the registry: same answers, same recovery story —
    it only changes how fsyncs are scheduled, including for [close]'s final
    record (flushed by the writer hand-off, not a group leader). *)
@@ -590,6 +670,10 @@ let suite =
       test_group_commit_concurrent_writers;
     Alcotest.test_case "group commit durable roundtrip" `Quick
       test_group_commit_durable_roundtrip;
+    Alcotest.test_case "group commit failed fsync is not acked" `Quick
+      test_group_commit_failed_fsync;
+    Alcotest.test_case "group commit close during flush" `Quick
+      test_group_commit_close_during_flush;
     Alcotest.test_case "scrub detects bit rot" `Quick test_scrub_detects_bitrot;
     Alcotest.test_case "protocol fuzz is total" `Quick test_protocol_fuzz_total;
     Alcotest.test_case "protocol classification" `Quick test_protocol_classification;
